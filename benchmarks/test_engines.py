@@ -1,10 +1,10 @@
-"""Execution-engine comparison: generated code vs interpreted steps
-vs the flat dispatch plan, per-event vs batched.
+"""Execution-engine comparison: generated code vs the flat dispatch
+plan, per-event vs batched.
 
-All engines use the identical analysis results; the differences are
-local-variable straight-line code vs dictionary-driven step closures
-vs opcode dispatch over slot arrays, and the per-event ``push``
-protocol vs the amortized ``feed_batch`` hot path.
+Both engines use the identical analysis results; the differences are
+local-variable straight-line code vs opcode dispatch over slot arrays,
+and the per-event ``push`` protocol vs the amortized ``feed_batch`` hot
+path.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from conftest import make_runner
 
 VARIANTS = {
     "codegen": {"engine": "codegen"},
-    "interpreted": {"engine": "interpreted"},
     "plan": {"engine": "plan"},
 }
 

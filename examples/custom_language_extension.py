@@ -8,7 +8,7 @@ the compiler decide mutability.  The example maintains a sliding
 top-score table in a Vector with a custom in-place `bump` operation.
 """
 
-from repro import INT, Last, Lift, Merge, Specification, UnitExpr, Var, compile_spec
+from repro import INT, Last, Lift, Merge, Specification, UnitExpr, Var, api
 from repro.lang.builtins import Access, EventPattern, LiftedFunction, builtin, pointwise
 from repro.lang.types import VectorType
 
@@ -58,17 +58,17 @@ def main() -> None:
         type_annotations={"scores": VectorType(INT)},
     )
 
-    compiled = compile_spec(spec, optimize=True)
+    monitor = api.compile(spec)
     print("mutability analysis for the custom operator:")
-    print(compiled.analysis.summary())
+    print(monitor.compiled.analysis.summary())
     print()
 
     trace = {"hit": [(t, t * 13 % 31) for t in range(1, 40)]}
-    out = compiled.run(trace)
+    out = monitor.run_traces(trace)
     print("best-score stream (last 5 events):", out["best"].events[-5:])
     print(
         "\nThe custom `bump` writes its vector in place:",
-        sorted(compiled.mutable_streams),
+        sorted(monitor.mutable_streams),
     )
 
 

@@ -13,7 +13,7 @@ emitting request events, monitored for (a) duplicate request ids,
   resumed in a fresh process-like monitor, with identical results.
 """
 
-from repro import compile_spec
+from repro import api
 from repro.compiler import collecting_callback
 from repro.lang import INT, Specification
 from repro.lang.compose import compose, substitute_inputs
@@ -32,13 +32,13 @@ def main() -> None:
     # watchdog spec is written against "hb", so rewire its input first
     wd_over_i = substitute_inputs(watchdog(timeout=25), {"hb": "i"})
     combined = compose(duplicate_detector(), wd_over_i)
-    compiled = compile_spec(combined)
+    compiled = api.compile(combined)
     print("combined monitor:")
-    print("  outputs:", compiled.monitor_class.OUTPUTS)
+    print("  outputs:", compiled.outputs)
     print("  mutable:", sorted(compiled.mutable_streams))
 
     on_output, collected = collecting_callback()
-    monitor = compiled.new_monitor(on_output)
+    monitor = compiled.new_instance(on_output)
 
     # phase 1: requests flow
     for ts, request_id in [(1, 101), (4, 102), (7, 101)]:
@@ -53,7 +53,7 @@ def main() -> None:
 
     # phase 2b: alternative future from the checkpoint — requests resume
     on2, collected2 = collecting_callback()
-    resumed = compiled.new_monitor(on2)
+    resumed = compiled.new_instance(on2)
     resumed.restore(checkpoint)
     resumed.push("i", 20, 103)
     resumed.push("i", 30, 102)

@@ -8,7 +8,7 @@ it twice — optimized (mutable set, in-place updates) and non-optimized
 agree while the optimized monitor updates one single object in place.
 """
 
-from repro import compile_spec, parse_spec
+from repro import api, parse_spec
 
 SPEC = """
 -- Figure 1 of the paper: "was this value seen before?"
@@ -26,18 +26,19 @@ out s
 def main() -> None:
     spec = parse_spec(SPEC)
 
-    optimized = compile_spec(spec, optimize=True)
-    baseline = compile_spec(spec, optimize=False)
+    # engine="codegen" so there is generated Python source to print.
+    optimized = api.compile(spec, api.CompileOptions(engine="codegen"))
+    baseline = api.compile(spec, api.CompileOptions(optimize=False))
 
     print("=== mutability analysis ===")
-    print(optimized.analysis.summary())
+    print(optimized.compiled.analysis.summary())
     print()
     print("=== generated calculation section (optimized) ===")
     print(optimized.source)
 
     trace = {"i": [(1, 4), (2, 7), (3, 4), (5, 9), (8, 7)]}
-    out_opt = optimized.run(trace)
-    out_base = baseline.run(trace)
+    out_opt = optimized.run_traces(trace)
+    out_base = baseline.run_traces(trace)
 
     print("=== outputs ===")
     print("optimized:    ", out_opt["s"].events)

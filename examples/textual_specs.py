@@ -6,7 +6,7 @@ signal-semantics ``slift``) is compiled to both the Python monitor and
 Scala source, and run on a trace in the TeSSLa trace format.
 """
 
-from repro import analyze_mutability, compile_spec, flatten, parse_spec
+from repro import analyze_mutability, api, flatten, parse_spec
 from repro.compiler import generate_scala_source
 from repro.semantics import read_trace, write_trace
 
@@ -36,19 +36,19 @@ TRACE = """
 def main() -> None:
     spec = parse_spec(SPEC)
     flat = flatten(spec)
-    compiled = compile_spec(flat)
+    monitor = api.compile(flat)
 
     print("=== analysis ===")
     print(analyze_mutability(flat).summary())
 
     inputs = read_trace(TRACE)
-    outputs = compiled.run(inputs)
+    outputs = monitor.run_traces(inputs)
     print("\n=== outputs (TeSSLa trace format) ===")
     print(write_trace({name: s.events for name, s in outputs.items()}), end="")
 
     print("\n=== Scala emission (first lines) ===")
     scala = generate_scala_source(
-        flat, compiled.order, compiled.backends
+        flat, monitor.compiled.order, monitor.compiled.backends
     )
     print("\n".join(scala.splitlines()[:12]))
 

@@ -40,15 +40,12 @@ from .analysis import (
 from .api import CompileOptions, Monitor, RunOptions
 from .compiler import (
     CompiledSpec,
-    HardenedRunner,
-    build_compiled_spec,
     MonitorBase,
     MonitorError,
     MonitorRunner,
     PlanCache,
     RunReport,
     build_compiled_spec,
-    compile_spec,
     freeze,
 )
 from .errors import ErrorPolicy, ErrorValue, LiftError, is_error
@@ -101,7 +98,6 @@ __all__ = [
     "FLOAT",
     "FlatSpec",
     "FrontendError",
-    "HardenedRunner",
     "INT",
     "Last",
     "Lift",
@@ -136,7 +132,6 @@ __all__ = [
     "build_usage_graph",
     "check_types",
     "build_compiled_spec",
-    "compile_spec",
     "flatten",
     "freeze",
     "interpret",

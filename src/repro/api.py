@@ -1,10 +1,7 @@
 """The single-entry public API: ``compile`` and ``run``.
 
-Historically the project grew four overlapping entry points —
-``compile_spec`` (eight keywords), ``MonitorBase.run``,
-``CompiledSpec.run`` and ``HardenedRunner`` (another seven keywords) —
-each with a different slice of the option space.  This module replaces
-that sprawl with two calls and two frozen option dataclasses:
+Two calls and two frozen option dataclasses cover the whole option
+space:
 
 >>> from repro import api
 >>> monitor = api.compile(source, api.CompileOptions(engine="plan"))
@@ -26,9 +23,6 @@ that sprawl with two calls and two frozen option dataclasses:
   ``(ts, stream, value)`` tuples or a mapping of per-stream traces)
   through a :class:`~repro.compiler.runtime.MonitorRunner` and returns
   the :class:`~repro.compiler.runtime.RunReport`.
-
-The legacy entry points still work but emit ``DeprecationWarning`` and
-delegate here (or to the engine-room functions this module wraps).
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ __all__ = [
     "run_many",
 ]
 
-_ENGINES = ("auto", "codegen", "interpreted", "plan", "vector")
+_ENGINES = ("auto", "codegen", "plan", "vector")
 _PARTITION_MODES = ("off", "auto")
 _POOL_BACKENDS = ("process", "thread")
 _POOL_TRANSPORTS = ("auto", "shm", "pipe")
@@ -90,8 +84,8 @@ class CompileOptions:
     #: the columnar :mod:`vector <repro.compiler.vector>` engine when
     #: every output-reachable stream family is vector-eligible and
     #: numpy is importable, else ``"plan"``), or one of the explicit
-    #: engines ``"codegen"``, ``"interpreted"``, ``"plan"``,
-    #: ``"vector"``.  The resolved engine is observable as
+    #: engines ``"codegen"``, ``"plan"`` (no ``exec``), ``"vector"``.
+    #: The resolved engine is observable as
     #: :attr:`Monitor.engine_resolved`; per-family fallbacks surface as
     #: ``VEC001`` diagnostics.
     engine: str = "auto"
@@ -104,10 +98,6 @@ class CompileOptions:
     #: certified to never demote a mutable stream, surfaced as
     #: ``OPT00x`` diagnostics.
     rewrite: bool = False
-    #: Deprecated (subsumed by ``rewrite`` — the optimizer's OPT005
-    #: dead-stream rule): remove streams that cannot influence any
-    #: output.
-    prune_dead: bool = False
     #: Name of the generated monitor class.
     class_name: str = "GeneratedMonitor"
     #: Plan-cache directory (or a :class:`PlanCache`): persist and
@@ -160,10 +150,9 @@ class CompileOptions:
             "optimize": self.optimize,
             "backend_override": self.backend,
             "class_name": self.class_name,
-            # The partitioned flat is already final: pruning and the
-            # rewrite pass (if any) ran on the whole spec before it was
-            # split, so replays must not transform it again.
-            "prune_dead": False,
+            # The partitioned flat is already final: the rewrite pass
+            # (if any) ran on the whole spec before it was split, so
+            # replays must not transform it again.
             "rewrite": False,
             "engine": self.engine,
             "error_policy": self.error_policy,
@@ -449,7 +438,6 @@ def compile(
             optimize=options.optimize,
             backend_override=options.backend,
             class_name=options.class_name,
-            prune_dead=options.prune_dead,
             engine=options.engine,
             error_policy=options.error_policy,
             alias_guard=options.alias_guard,
@@ -462,7 +450,6 @@ def compile(
         optimize=options.optimize,
         backend_override=options.backend,
         class_name=options.class_name,
-        prune_dead=options.prune_dead,
         engine=options.engine,
         error_policy=options.error_policy,
         alias_guard=options.alias_guard,

@@ -54,12 +54,12 @@ reproducing the uninterrupted run's output file exactly,
 ``--engine`` selects the execution engine (``auto`` — the default,
 resolving to the columnar ``vector`` engine when the whole spec is
 vector-eligible and numpy is present, else ``plan`` — or explicitly
-``codegen``, ``interpreted``, ``plan``, ``vector``; ``emit`` defaults
-to ``codegen`` since it prints generated source), ``--batch-size``
-drives the monitor's
-batch hot path in chunks, and ``--plan-cache DIR`` persists the
-analysis outputs on disk so repeated invocations of an unchanged spec
-skip the analysis (hits are visible in ``--report``).
+``codegen``, ``plan``, ``vector``; ``emit`` defaults to ``codegen``
+since it prints generated source, and the engine-independent commands
+reject it), ``--batch-size`` drives the monitor's batch hot path in
+chunks, and ``--plan-cache DIR`` persists the analysis outputs on disk
+so repeated invocations of an unchanged spec skip the analysis (hits
+are visible in ``--report``).
 
 All flags funnel through :class:`repro.api.CompileOptions` /
 :class:`repro.api.RunOptions` (see ``_compile_options`` and
@@ -163,9 +163,8 @@ def _read_trace(path: str, flat) -> List[Tuple[int, str, Any]]:
 
 
 #: Subcommands whose result is independent of the execution engine;
-#: passing ``--engine`` to them is deprecated ad-hoc plumbing (the
-#: engine belongs to :class:`repro.api.CompileOptions`, which these
-#: commands never build).
+#: they reject ``--engine`` (the engine belongs to
+#: :class:`repro.api.CompileOptions`, which these commands never build).
 _ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "emit-scala", "optimize")
 
 
@@ -755,12 +754,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "codegen", "interpreted", "plan", "vector"],
+        choices=["auto", "codegen", "plan", "vector"],
         default=None,
         help="execution engine: auto (the default — columnar numpy"
         " kernels when the whole spec is vector-eligible, else the"
-        " dispatch plan), generated source, step closures, the flat"
-        " dispatch plan, or the columnar vector engine; 'emit'"
+        " dispatch plan), generated source, the flat dispatch plan"
+        " (no exec), or the columnar vector engine; 'emit'"
         " defaults to codegen (it prints generated source)",
     )
     parser.add_argument(
@@ -916,14 +915,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.engine is not None and args.command in _ENGINELESS_COMMANDS:
-        from ._deprecation import warn_once
-
-        warn_once(
-            "cli-engine-plumbing",
-            f"--engine is ignored by '{args.command}' and this ad-hoc"
-            " plumbing is deprecated; select the engine through"
-            " repro.api.CompileOptions(engine=...) on commands that"
-            " execute a monitor ('run', 'run-many', 'profile', 'emit')",
+        parser.error(
+            f"--engine does not apply to '{args.command}'; it selects"
+            " the engine of commands that execute a monitor ('run',"
+            " 'run-many', 'profile', 'emit')"
         )
 
     if args.command == "windows":

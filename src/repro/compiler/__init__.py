@@ -8,7 +8,6 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .codegen import CodegenError, CodeGenerator, generate_monitor_class
-from .interp_backend import make_interpreted_class
 from .scala_backend import generate_scala_source
 from .monitor import (
     MonitorBase,
@@ -22,12 +21,10 @@ from .pipeline import (
     CompiledSpec,
     build_compiled_spec,
     build_compiled_spec_from_text,
-    compile_spec,
 )
 from .plan import ExecutionPlan, build_plan, make_plan_class
 from .plancache import PlanCache, flat_fingerprint, plan_fingerprint
 from .runtime import (
-    HardenedRunner,
     MonitorRunner,
     RunReport,
     validate_value,
@@ -40,7 +37,6 @@ __all__ = [
     "CodegenError",
     "CompiledSpec",
     "ExecutionPlan",
-    "HardenedRunner",
     "MonitorBase",
     "MonitorError",
     "MonitorRunner",
@@ -51,14 +47,12 @@ __all__ = [
     "build_compiled_spec_from_text",
     "build_plan",
     "collecting_callback",
-    "compile_spec",
     "counting_callback",
     "flat_fingerprint",
     "freeze",
     "generate_monitor_class",
     "generate_scala_source",
     "latest_checkpoint",
-    "make_interpreted_class",
     "make_plan_class",
     "plan_fingerprint",
     "read_checkpoint",

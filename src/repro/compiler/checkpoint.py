@@ -3,7 +3,7 @@
 :meth:`MonitorBase.snapshot` captures monitor state in memory; this
 module persists such snapshots to disk so a crashed monitor process can
 be resumed from its last checkpoint and provably reproduce the
-uninterrupted run's outputs (see :class:`repro.compiler.runtime.HardenedRunner`).
+uninterrupted run's outputs (see :class:`repro.compiler.runtime.MonitorRunner`).
 
 Design points:
 

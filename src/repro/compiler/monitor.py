@@ -412,25 +412,6 @@ class MonitorBase:
             self.push(name, ts, value)
         self.finish(end_time=end_time)
 
-    def run(
-        self,
-        inputs: Mapping[str, Any],
-        end_time: Optional[int] = None,
-    ) -> None:
-        """Deprecated alias of :meth:`run_traces`.
-
-        Prefer ``repro.api.run`` (options, batching, RunReport) or
-        :meth:`run_traces` for the bare whole-trace convenience.
-        """
-        from .._deprecation import warn_once
-
-        warn_once(
-            "MonitorBase.run",
-            "MonitorBase.run() is deprecated; use repro.api.run(...) or"
-            " MonitorBase.run_traces(...)",
-        )
-        self.run_traces(inputs, end_time=end_time)
-
 
 def collecting_callback() -> Tuple[OutputCallback, Dict[str, List[Tuple[int, Any]]]]:
     """An output callback that records frozen events per output stream."""

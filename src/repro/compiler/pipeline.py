@@ -4,8 +4,7 @@
 specification → flatten → type check → usage graph → mutability
 analysis → translation order → monitor class.  Most callers should go
 through the :mod:`repro.api` facade (``repro.api.compile`` with a
-:class:`~repro.api.CompileOptions`); the historical keyword-sprawl
-entry point :func:`compile_spec` still works but is deprecated.
+:class:`~repro.api.CompileOptions`).
 
 Three compilation modes:
 
@@ -18,9 +17,11 @@ Three compilation modes:
 * ``backend_override`` — force one backend everywhere (e.g.
   ``Backend.COPYING`` for the naive-copy ablation baseline).
 
-Execution engines: ``"codegen"`` (generated Python source),
-``"interpreted"`` (step closures) and ``"plan"`` (flat dispatch plan,
-see :mod:`repro.compiler.plan`).
+Execution engines: ``"codegen"`` (generated Python source), ``"plan"``
+(flat dispatch plan, no ``exec``, see :mod:`repro.compiler.plan`) and
+``"vector"`` (columnar numpy kernels, see :mod:`repro.compiler.vector`);
+:func:`monitor_class_factory` is the one place an engine name becomes a
+monitor-class builder.
 
 With ``plan_cache`` set, the analysis outputs (translation order +
 backend choices) are persisted on disk keyed by the spec-and-options
@@ -32,7 +33,8 @@ options skips the analysis entirely (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..analysis.mutability import MutabilityResult, analyze_mutability
 from ..errors import ErrorPolicy, coerce_policy
@@ -162,24 +164,27 @@ class CompiledSpec:
             for name in self.monitor_class.OUTPUTS
         }
 
-    def run(
-        self,
-        inputs: Mapping[str, Any],
-        end_time: Optional[int] = None,
-    ) -> Dict[str, Stream]:
-        """Deprecated alias of :meth:`run_traces`.
 
-        Prefer ``repro.api.run`` (full RunReport, batching, hardening)
-        or :meth:`run_traces` for the plain whole-trace convenience.
-        """
-        from .._deprecation import warn_once
+def monitor_class_factory(
+    engine: str, vector_info: Optional[Any] = None
+) -> Callable[..., type]:
+    """The monitor-class builder for a resolved *engine*.
 
-        warn_once(
-            "CompiledSpec.run",
-            "CompiledSpec.run() is deprecated; use repro.api.run(...) or"
-            " CompiledSpec.run_traces(...)",
-        )
-        return self.run_traces(inputs, end_time=end_time)
+    Every builder takes ``(flat, order, backends, *, class_name,
+    error_policy, metrics)``; the vector builder additionally receives
+    the engine negotiation's *vector_info* classification.
+    """
+    if engine == "codegen":
+        return generate_monitor_class
+    if engine == "plan":
+        from .plan import make_plan_class
+
+        return make_plan_class
+    if engine == "vector":
+        from .vector import make_vector_class
+
+        return partial(make_vector_class, classification=vector_info)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def build_compiled_spec(
@@ -187,7 +192,6 @@ def build_compiled_spec(
     optimize: bool = True,
     backend_override: Optional[Backend] = None,
     class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
     engine: str = "codegen",
     error_policy: Union[ErrorPolicy, str, None] = None,
     alias_guard: bool = False,
@@ -204,12 +208,10 @@ def build_compiled_spec(
     constant folding), each certified to never demote a mutable stream
     and recorded as ``OPT00x`` provenance on :meth:`CompiledSpec.diagnostics`.
 
-    ``prune_dead=True`` (deprecated — subsumed by the optimizer's
-    dead-stream rule) removes streams that cannot influence any
-    output before analysis and code generation.  ``engine`` selects the
-    execution strategy: ``"codegen"`` (generated Python source, the
-    default), ``"interpreted"`` (step closures, no ``exec``) or
-    ``"plan"`` (flat dispatch plan).
+    ``engine`` selects the execution strategy: ``"codegen"`` (generated
+    Python source, the default), ``"plan"`` (flat dispatch plan, no
+    ``exec``), ``"vector"`` (columnar numpy kernels) or ``"auto"``
+    (vector when eligible, else plan).
 
     ``error_policy`` (an :class:`~repro.errors.ErrorPolicy` or its
     string value) switches on the hardened error-propagating evaluation
@@ -235,18 +237,6 @@ def build_compiled_spec(
         flat = spec if isinstance(spec, FlatSpec) else flatten(spec)
         if not flat.types:
             check_types(flat)
-        if prune_dead:
-            from .._deprecation import warn_once
-            from ..opt import project_live
-
-            warn_once(
-                "prune_dead",
-                "prune_dead=True is deprecated; use rewrite=True — the"
-                " optimizer's dead-stream rule (OPT005) subsumes pruning",
-            )
-            flat = project_live(flat)
-            if not flat.types:
-                check_types(flat)
 
     rewrite_result: Optional[Any] = None
     if rewrite:
@@ -364,51 +354,14 @@ def build_compiled_spec(
 
     if monitor_class is None:
         with TRACER.span("compile.codegen"):
-            if engine == "codegen":
-                monitor_class = generate_monitor_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "interpreted":
-                from .interp_backend import make_interpreted_class
-
-                monitor_class = make_interpreted_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "plan":
-                from .plan import make_plan_class
-
-                monitor_class = make_plan_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "vector":
-                from .vector import make_vector_class
-
-                monitor_class = make_vector_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                    classification=vector_info,
-                )
-            else:
-                raise ValueError(f"unknown engine {engine!r}")
+            monitor_class = monitor_class_factory(engine, vector_info)(
+                flat,
+                order,
+                backends,
+                class_name=class_name,
+                error_policy=policy,
+                metrics=metrics,
+            )
 
     if plan_cache is not None and cached is None:
         import marshal
@@ -471,53 +424,16 @@ def instrumented_twin(compiled: CompiledSpec, metrics: Any) -> CompiledSpec:
     """
     from dataclasses import replace
 
-    flat = compiled.flat
-    class_name = compiled.monitor_class.__name__
-    if compiled.engine == "codegen":
-        monitor_class = generate_monitor_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "interpreted":
-        from .interp_backend import make_interpreted_class
-
-        monitor_class = make_interpreted_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "plan":
-        from .plan import make_plan_class
-
-        monitor_class = make_plan_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "vector":
-        from .vector import make_vector_class
-
-        monitor_class = make_vector_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-            classification=compiled.vector_info,
-        )
-    else:
-        raise ValueError(f"unknown engine {compiled.engine!r}")
+    monitor_class = monitor_class_factory(
+        compiled.engine, compiled.vector_info
+    )(
+        compiled.flat,
+        compiled.order,
+        compiled.backends,
+        class_name=compiled.monitor_class.__name__,
+        error_policy=compiled.error_policy,
+        metrics=metrics,
+    )
     return replace(compiled, monitor_class=monitor_class, metrics=metrics)
 
 
@@ -560,7 +476,6 @@ def build_compiled_spec_from_text(
     optimize: bool = True,
     backend_override: Optional[Backend] = None,
     class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
     engine: str = "codegen",
     error_policy: Union[ErrorPolicy, str, None] = None,
     alias_guard: bool = False,
@@ -595,7 +510,6 @@ def build_compiled_spec_from_text(
             alias_guard=alias_guard,
             error_policy=policy,
             engine=engine,
-            prune_dead=prune_dead,
             rewrite=rewrite,
         )
         cached = plan_cache.load(text_key)
@@ -649,7 +563,6 @@ def build_compiled_spec_from_text(
         optimize=optimize,
         backend_override=backend_override,
         class_name=class_name,
-        prune_dead=prune_dead,
         engine=engine,
         error_policy=policy,
         alias_guard=alias_guard,
@@ -694,39 +607,3 @@ def build_compiled_spec_from_text(
                 ),
             )
     return compiled
-
-
-def compile_spec(
-    spec: Union[Specification, FlatSpec],
-    optimize: bool = True,
-    backend_override: Optional[Backend] = None,
-    class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
-    engine: str = "codegen",
-    error_policy: Union[ErrorPolicy, str, None] = None,
-    alias_guard: bool = False,
-    plan_cache: Union[str, PlanCache, None] = None,
-) -> CompiledSpec:
-    """Deprecated keyword-sprawl entry point.
-
-    Use ``repro.api.compile(spec, CompileOptions(...))`` instead; this
-    shim delegates to :func:`build_compiled_spec` unchanged.
-    """
-    from .._deprecation import warn_once
-
-    warn_once(
-        "compile_spec",
-        "compile_spec() is deprecated; use repro.api.compile(spec,"
-        " CompileOptions(...))",
-    )
-    return build_compiled_spec(
-        spec,
-        optimize=optimize,
-        backend_override=backend_override,
-        class_name=class_name,
-        prune_dead=prune_dead,
-        engine=engine,
-        error_policy=error_policy,
-        alias_guard=alias_guard,
-        plan_cache=plan_cache,
-    )

@@ -13,7 +13,7 @@ Three consumers:
 * :func:`make_plan_class` — the ``engine="plan"`` monitor: a
   :class:`MonitorBase` subclass whose ``_calc`` interprets the plan
   over a preallocated slot list.  Differentially identical to the
-  generated and interpreted engines.
+  generated engine.
 * the plan cache (:mod:`repro.compiler.plancache`) — the analysis
   outputs a plan is built from (translation order, per-stream backend
   choices) are exactly what gets persisted and reloaded, so repeated
@@ -328,7 +328,7 @@ def make_plan_class(
 ) -> type:
     """Build a plan-engine monitor class for *flat*.
 
-    Same analysis inputs as the generated and interpreted engines; only
+    Same analysis inputs as the generated engine; only
     the execution strategy differs (flat dispatch over slot arrays).
     """
     plan = build_plan(

@@ -145,7 +145,6 @@ def text_fingerprint(
     alias_guard: bool = False,
     error_policy: Optional[ErrorPolicy] = None,
     engine: str = "codegen",
-    prune_dead: bool = False,
     rewrite: bool = False,
 ) -> str:
     """Cache key for raw specification text: hash of the text itself.
@@ -153,12 +152,12 @@ def text_fingerprint(
     Keying on the unparsed text lets a warm compilation skip the
     frontend entirely — no lexing, parsing, flattening or type
     inference — which is the bulk of a repeated CLI/server
-    invocation's startup cost.  ``prune_dead`` and ``rewrite`` (plus
-    the rewrite rule-set version) are part of this key — unlike
-    :func:`plan_fingerprint`, where both transforms run before the flat
-    spec is hashed and are therefore covered by content, the raw text
-    here is identical whether or not the optimizer runs, so omitting
-    the flags would serve a stale plan across a toggle.
+    invocation's startup cost.  ``rewrite`` (plus the rewrite rule-set
+    version) is part of this key — unlike :func:`plan_fingerprint`,
+    where the rewrite runs before the flat spec is hashed and is
+    therefore covered by content, the raw text here is identical whether
+    or not the optimizer runs, so omitting the flag would serve a stale
+    plan across a toggle.
     """
     options = (
         "text-opts-v3",
@@ -167,7 +166,6 @@ def text_fingerprint(
         bool(alias_guard),
         error_policy.value if error_policy is not None else None,
         engine,
-        bool(prune_dead),
         bool(rewrite),
         _ruleset_version() if rewrite else 0,
         _numpy_bit(engine),

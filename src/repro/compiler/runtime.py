@@ -18,8 +18,7 @@ This module is the runtime half of the compiler's hardening layer:
   monitor adding input validation, periodic durable checkpoints, batch
   feeding (the ``feed_batch`` hot path) and crash recovery (resume
   from the last valid checkpoint, skip consumed input, reproduce the
-  uninterrupted run's outputs exactly).  The historical name
-  ``HardenedRunner`` remains as a deprecated alias.
+  uninterrupted run's outputs exactly).
 
 Monitors compiled *without* an error policy are byte-for-byte the code
 the seed compiler produced — the hardening layer costs nothing unless
@@ -682,21 +681,3 @@ class MonitorRunner:
         runner.report.events_out = meta.get("outputs_emitted", 0)
         runner.report.resumed_from = path
         return runner, meta
-
-
-class HardenedRunner(MonitorRunner):
-    """Deprecated alias of :class:`MonitorRunner`.
-
-    Prefer ``repro.api.run`` (the options facade) or
-    :class:`MonitorRunner` directly.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        from .._deprecation import warn_once
-
-        warn_once(
-            "HardenedRunner",
-            "HardenedRunner is deprecated; use repro.api.run(...) or"
-            " MonitorRunner",
-        )
-        super().__init__(*args, **kwargs)

@@ -952,8 +952,7 @@ class VectorMonitorBase(PlanMonitorBase):
         pending, exactly as with :meth:`feed_batch`.
         """
         prog = self.VPROG
-        if prog is None or self._finished or self._pending_ts is not None:
-            # Scalar engines / pending-merge corner: row-convert.
+        if prog is None or self._finished:
             return super().feed_columns(timestamps, columns)
         np = self.NP
         ts_arr = np.asarray(timestamps)
@@ -997,6 +996,14 @@ class VectorMonitorBase(PlanMonitorBase):
             raise MonitorError(
                 "feed_columns() timestamps must be strictly increasing"
             )
+        pending = self._pending_ts
+        if pending is not None:
+            if ts_list[0] <= pending:
+                # Merge corner (or an out-of-order error the row path
+                # reports with its exact message): row-convert.
+                return super().feed_columns(timestamps, columns)
+            self._run_calc(pending)
+            self._pending_ts = None
 
         tail_ts = ts_list[-1]
         count = total * len(columns)

@@ -3,7 +3,7 @@
 from . import macros
 from .compose import compose, rename
 from .lint import LintWarning, lint
-from .prune import live_streams, prune
+from .prune import live_streams
 from .ast import (
     Const,
     Default,
@@ -90,7 +90,6 @@ __all__ = [
     "lint",
     "live_streams",
     "macros",
-    "prune",
     "rename",
     "register",
     "spec",

@@ -172,7 +172,7 @@ def lint(flat: FlatSpec) -> List[LintWarning]:
                     "dead-stream",
                     name,
                     "no output depends on this stream; it will be computed"
-                    " but never observed (compile with prune_dead=True to"
+                    " but never observed (compile with rewrite=True to"
                     " drop it)",
                 )
             )

@@ -1,15 +1,12 @@
-"""Dead-stream elimination.
+"""Dead-stream liveness.
 
 A monitor only needs the streams its outputs (transitively) depend on —
 including ``last``/``delay`` dependencies, which carry state across
 timestamps, and ``delay`` reset inputs.  Everything else is dead code:
-it can never influence an output event.  The compiler applies this
-before analysis when requested; fewer streams mean a smaller usage
-graph, a cheaper analysis and a faster calculation section.
-
-This is a semantics-preserving *projection*: outputs of the pruned
-specification equal outputs of the original on every input (asserted by
-differential tests).
+it can never influence an output event.  :func:`live_streams` computes
+that set; :func:`repro.lint` reports the dead rest and the rewrite
+optimizer's dead-stream rule (``OPT005``, :func:`repro.opt.project_live`)
+removes it.
 """
 
 from __future__ import annotations
@@ -32,23 +29,3 @@ def live_streams(flat: FlatSpec) -> Set[str]:
         if name in flat.definitions:
             stack.extend(free_vars(flat.definitions[name]))
     return live
-
-
-def prune(flat: FlatSpec) -> FlatSpec:
-    """Deprecated alias of :func:`repro.opt.project_live`.
-
-    The dead-stream projection moved into the rewrite optimizer as its
-    ``OPT005`` rule (``repro.opt``); this shim delegates unchanged.
-    Input streams are kept in the interface even when dead (the monitor
-    still accepts their events; they just trigger no computation).
-    """
-    from .._deprecation import warn_once
-    from ..opt import project_live
-
-    warn_once(
-        "lang.prune.prune",
-        "repro.lang.prune.prune() is deprecated; use"
-        " repro.opt.project_live() or compile with rewrite=True (the"
-        " optimizer's OPT005 dead-stream rule subsumes it)",
-    )
-    return project_live(flat)

@@ -10,7 +10,7 @@ as ``OPT00x`` provenance diagnostics.
 
 Entry points: :func:`optimize_flat` (engine),
 :data:`ALL_RULES` (the rule catalogue), :func:`project_live` (the
-shared dead-stream projection that absorbed :mod:`repro.lang.prune`).
+dead-stream projection).
 
 ``RULESET_VERSION`` participates in the plan-cache fingerprint: bump it
 whenever a rule's behaviour changes so cached plans built under the old

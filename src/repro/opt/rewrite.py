@@ -35,9 +35,9 @@ The rules (fixpoint-applied by :mod:`repro.opt.engine`):
     evaluated at rewrite time.
 
 ``OPT005`` **dead-stream elimination** — streams no output
-    (transitively) depends on are dropped.  This absorbs
-    :mod:`repro.lang.prune`; :func:`project_live` is the shared
-    non-deprecated implementation.
+    (transitively) depends on are dropped, using the liveness of
+    :func:`repro.lang.prune.live_streams`; :func:`project_live` is the
+    projection itself.
 
 ``OPT006`` **never-firing normalization** — the ``last``/``delay``
     normalization family: a stream the sound may-fire analysis proves
@@ -198,9 +198,8 @@ def project_live(flat: FlatSpec) -> FlatSpec:
     """Restrict *flat* to output-reachable streams (same object when
     nothing is dead).
 
-    The shared dead-stream projection: the optimizer's OPT005 rule and
-    the deprecated :func:`repro.lang.prune.prune` both delegate here.
-    Input streams stay in the interface even when dead.
+    The optimizer's OPT005 rule delegates here.  Input streams stay in
+    the interface even when dead.
     """
     live = live_streams(flat)
     definitions = {

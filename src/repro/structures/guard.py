@@ -9,7 +9,8 @@ bumps a generation counter; any later access through an old handle — a
 read the static analysis claims cannot happen — raises
 :class:`AliasGuardError` immediately, naming both generations.
 
-Compile with ``compile_spec(spec, alias_guard=True)`` to replace every
+Compile with ``repro.api.compile(spec, CompileOptions(alias_guard=True))``
+(``--alias-guard`` on the CLI) to replace every
 analysis-chosen mutable backend with its guarded twin.  A spec suite
 that runs clean under the guard is runtime evidence that the analysis
 classified its streams soundly; a raised guard is a reproducer for an

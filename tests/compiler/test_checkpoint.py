@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compiler import collecting_callback, build_compiled_spec
+from repro.compiler.kernels import numpy_available
 from repro.speclib import (
     db_access_constraint,
     fig1_spec,
@@ -182,8 +183,11 @@ class TestSnapshotEveryAggregateKind:
 
 
 class TestCheckpointOtherEngines:
-    def test_interpreted_engine(self):
-        compiled = build_compiled_spec(seen_set(), engine="interpreted")
+    @pytest.mark.parametrize(
+        "engine", ["plan"] + (["vector"] if numpy_available() else [])
+    )
+    def test_pending_event_reemitted(self, engine):
+        compiled = build_compiled_spec(seen_set(), engine=engine)
         on_output, collected = collecting_callback()
         monitor = compiled.new_monitor(on_output)
         monitor.push("i", 1, 4)

@@ -377,13 +377,6 @@ class TestTextKeyedFastPath:
             api.compile(SEEN_SET_TEXT), events
         )
 
-    def test_text_fingerprint_covers_prune_dead(self):
-        from repro.compiler.plancache import text_fingerprint
-
-        assert text_fingerprint(SEEN_SET_TEXT) != text_fingerprint(
-            SEEN_SET_TEXT, prune_dead=True
-        )
-
     def test_recipe_rejects_unknown_builtin(self):
         from repro.compiler.codegen import monitor_class_from_recipe
 

@@ -12,10 +12,13 @@ from repro import (
     parse_spec,
 )
 from repro.compiler import MonitorError
+from repro.compiler.kernels import numpy_available
 from repro.compiler.runtime import RunReport, delay_next, validate_value
 from repro.lang import types as ty
 
-ENGINES = ["codegen", "interpreted"]
+# Every surviving engine carries the hardened runtime; vector rides
+# along wherever numpy is present.
+ENGINES = ["codegen", "plan"] + (["vector"] if numpy_available() else [])
 
 DIV_SPEC = """
 in a: Int

@@ -362,6 +362,56 @@ class TestFeedColumns:
             out[compiled.engine] = collected
         assert out["vector"] == out["plan"]
 
+    def test_later_chunks_stay_columnar(self, monkeypatch):
+        # Every call leaves its last timestamp pending; the next chunk
+        # must settle it and stay on the zero-copy path instead of
+        # falling back to the inherited row shim.
+        from repro.compiler.monitor import MonitorBase
+
+        np = kernels.numpy_module()
+        vec, plan = compile_pair(SCALAR_CHAIN)
+        chunks = [np.arange(start, start + 40) for start in (1, 41, 81)]
+
+        def run(compiled):
+            collected = []
+            m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+            for ts in chunks:
+                m.feed_columns(ts, {"i": (ts * 7) % 13 - 6})
+            m.finish()
+            return collected
+
+        expected = run(plan)
+
+        def row_shim(self, timestamps, columns):
+            raise AssertionError("feed_columns fell back to the row shim")
+
+        monkeypatch.setattr(MonitorBase, "feed_columns", row_shim)
+        assert run(vec) == expected
+
+    def test_chunk_at_pending_timestamp_merges(self):
+        vec, plan = compile_pair(TWO_INPUT)
+        out = {}
+        for compiled in (vec, plan):
+            collected = []
+            m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+            m.feed_columns([1, 2], {"a": [1, 2]})  # t=2 pending
+            m.feed_columns([2, 3], {"b": [7, 8]})  # joins t=2
+            m.finish()
+            out[compiled.engine] = collected
+        assert out["vector"] == out["plan"]
+
+    def test_chunk_before_pending_timestamp_rejected_like_plan(self):
+        vec, plan = compile_pair(TWO_INPUT)
+        results = {}
+        for compiled in (vec, plan):
+            m = compiled.new_monitor()
+            m.feed_columns([1, 5], {"a": [1, 5]})  # t=5 pending
+            with pytest.raises(MonitorError) as exc:
+                m.feed_columns([3, 4], {"a": [3, 4]})
+            results[compiled.engine] = str(exc.value)
+        assert results["vector"] == results["plan"]
+        assert "out-of-order" in results["vector"]
+
 
 class TestStatefulness:
     def test_snapshot_restore_roundtrip(self):

@@ -1,10 +1,10 @@
-"""The ``repro.api`` facade: parity with the legacy entry points.
+"""The ``repro.api`` facade: parity with the engine-room entry points.
 
-Every paper-figure spec driven through the deprecated surface
-(``compile_spec`` + ``CompiledSpec.run`` / ``HardenedRunner``) and
-through ``api.compile`` + ``api.run`` must yield identical outputs and
-consistent RunReport counters, for every option combination the facade
-can express.  The legacy names must keep working — but warn.
+Every paper-figure spec driven through the engine room
+(``build_compiled_spec`` + ``CompiledSpec.run_traces`` /
+``MonitorRunner``) and through ``api.compile`` + ``api.run`` must yield
+identical outputs and consistent RunReport counters, for every option
+combination the facade can express.
 """
 
 import random
@@ -13,8 +13,9 @@ import warnings
 import pytest
 
 from repro import api
-from repro.compiler import build_compiled_spec, compile_spec, freeze
-from repro.compiler.runtime import HardenedRunner, MonitorRunner
+from repro.compiler import build_compiled_spec, freeze
+from repro.compiler.kernels import numpy_available
+from repro.compiler.runtime import MonitorRunner
 from repro.errors import ErrorPolicy
 from repro.speclib import (
     db_access_constraint,
@@ -77,10 +78,8 @@ class TestLegacyParity:
     def test_outputs_identical_to_legacy(self, name, factory, inputs):
         events = random_events(inputs, 100, 8, seed=11)
 
-        with pytest.deprecated_call():
-            legacy = compile_spec(factory())
-        with pytest.deprecated_call():
-            legacy_streams = legacy.run(as_traces(events))
+        legacy = build_compiled_spec(factory())
+        legacy_streams = legacy.run_traces(as_traces(events))
         legacy_out = {n: s.events for n, s in legacy_streams.items() if s.events}
 
         monitor = api.compile(factory())
@@ -108,16 +107,13 @@ class TestLegacyParity:
         assert report_b.events_in == report_a.events_in
         assert report_b.events_out == report_a.events_out
 
-    def test_runner_parity_with_hardened_runner(self):
+    def test_runner_parity_with_monitor_runner(self):
         events = random_events(["i"], 80, 6, seed=17)
         legacy_out = []
-        with pytest.deprecated_call():
-            runner = HardenedRunner(
-                build_compiled_spec(
-                    seen_set(), error_policy=ErrorPolicy.PROPAGATE
-                ),
-                lambda n, t, v: legacy_out.append((n, t, freeze(v))),
-            )
+        runner = MonitorRunner(
+            build_compiled_spec(seen_set(), error_policy=ErrorPolicy.PROPAGATE),
+            lambda n, t, v: legacy_out.append((n, t, freeze(v))),
+        )
         runner.feed(events)
         legacy_report = runner.finish()
 
@@ -130,25 +126,7 @@ class TestLegacyParity:
         assert report.events_out == legacy_report.events_out
 
 
-class TestDeprecationSurface:
-    def test_compile_spec_warns(self):
-        with pytest.deprecated_call():
-            compile_spec(seen_set())
-
-    def test_compiled_spec_run_warns(self):
-        compiled = build_compiled_spec(seen_set())
-        with pytest.deprecated_call():
-            compiled.run({"i": [(1, 1)]})
-
-    def test_monitor_run_warns(self):
-        compiled = build_compiled_spec(seen_set())
-        with pytest.deprecated_call():
-            compiled.new_monitor().run({"i": [(1, 1)]})
-
-    def test_hardened_runner_warns(self):
-        with pytest.deprecated_call():
-            HardenedRunner(build_compiled_spec(seen_set()))
-
+class TestWarningFree:
     def test_new_surface_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -158,9 +136,57 @@ class TestDeprecationSurface:
             MonitorRunner(build_compiled_spec(seen_set()))
 
 
+class TestRemovedSurface:
+    """The legacy entry points are gone, not merely hidden."""
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro", "compile_spec"),
+            ("repro", "HardenedRunner"),
+            ("repro.compiler", "compile_spec"),
+            ("repro.compiler", "HardenedRunner"),
+            ("repro.compiler", "make_interpreted_class"),
+            ("repro.compiler.runtime", "HardenedRunner"),
+            ("repro.lang.prune", "prune"),
+        ],
+    )
+    def test_name_removed(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_live_streams_kept(self):
+        from repro.lang import live_streams
+
+        assert callable(live_streams)
+
+    def test_no_run_method(self):
+        from repro.compiler.monitor import MonitorBase
+
+        compiled = build_compiled_spec(seen_set())
+        assert not hasattr(compiled, "run")
+        assert not hasattr(MonitorBase, "run")
+
+    def test_prune_dead_knob_removed(self):
+        from dataclasses import fields
+
+        from repro.compiler.plancache import text_fingerprint
+
+        assert "prune_dead" not in {f.name for f in fields(api.CompileOptions)}
+        with pytest.raises(TypeError):
+            api.CompileOptions(prune_dead=True)
+        with pytest.raises(TypeError):
+            build_compiled_spec(seen_set(), prune_dead=True)
+        with pytest.raises(TypeError):
+            text_fingerprint("in i: Int\nout i\n", prune_dead=True)
+
+
 class TestOptionRoundtrips:
     @pytest.mark.parametrize("optimize", [True, False])
-    @pytest.mark.parametrize("engine", ["codegen", "interpreted", "plan"])
+    @pytest.mark.parametrize(
+        "engine", ["codegen", "plan"] + (["vector"] if numpy_available() else [])
+    )
     @pytest.mark.parametrize("alias_guard", [False, True])
     def test_compile_option_grid(self, optimize, engine, alias_guard):
         events = random_events(["i"], 60, 6, seed=23)
@@ -194,8 +220,9 @@ class TestOptionRoundtrips:
             api.CompileOptions(backend="nope")
 
     def test_engine_validated(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            api.CompileOptions(engine="jit")
+        for engine in ("jit", "interpreted"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                api.CompileOptions(engine=engine)
 
     def test_run_options_validated(self):
         with pytest.raises(ValueError, match="batch_size"):

@@ -81,6 +81,18 @@ class TestErrors:
         assert main(["run", spec_file, "--trace", str(trace)]) == 1
         assert "expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["analyze", "lint", "dot", "emit-scala", "optimize"]
+    )
+    def test_engine_flag_rejected_on_engineless_command(
+        self, spec_file, command, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, spec_file, "--engine", "plan"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--engine does not apply to '{command}'" in err
+
 
 class TestValueParsing:
     def test_bool_and_float_inputs(self, tmp_path, capsys):

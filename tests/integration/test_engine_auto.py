@@ -58,7 +58,7 @@ class TestResolution:
         assert monitor.engine_resolved == "plan"
 
     @pytest.mark.parametrize(
-        "engine", ["codegen", "interpreted", "plan"]
+        "engine", ["codegen", "plan"] + (["vector"] if has_numpy else [])
     )
     def test_explicit_strings_unchanged(self, engine):
         monitor = api.compile(
@@ -158,36 +158,15 @@ class TestFingerprints:
 
 
 class TestCliPlumbing:
-    def test_engine_flag_warns_on_engineless_command(self, tmp_path):
-        import warnings
-
-        from repro import _deprecation
-        from repro.cli import main
-
-        spec = tmp_path / "s.tessla"
-        spec.write_text(ELIGIBLE)
-        _deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["lint", str(spec), "--engine", "plan"]) == 0
-        assert any(
-            issubclass(w.category, _deprecation.ReproDeprecationWarning)
-            and "--engine is ignored" in str(w.message)
-            for w in caught
-        )
-        _deprecation.reset()
-
     def test_engine_flag_silent_on_run(self, tmp_path, capsys):
         import warnings
 
-        from repro import _deprecation
         from repro.cli import main
 
         spec = tmp_path / "s.tessla"
         spec.write_text(ELIGIBLE)
         trace = tmp_path / "t.csv"
         trace.write_text("1,i,3\n4,i,9\n")
-        _deprecation.reset()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(
@@ -195,8 +174,4 @@ class TestCliPlumbing:
             )
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["4,d,6"]
-        assert not [
-            w
-            for w in caught
-            if issubclass(w.category, _deprecation.ReproDeprecationWarning)
-        ]
+        assert not [w for w in caught if "--engine" in str(w.message)]

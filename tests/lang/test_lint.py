@@ -69,6 +69,8 @@ class TestOtherChecks:
             "in i: Int\ndef used := time(i)\ndef dead := time(i)\nout used"
         )
         assert ("dead-stream", "dead") in [(w.code, w.stream) for w in warnings]
+        (dead,) = [w for w in warnings if w.code == "dead-stream"]
+        assert "rewrite=True" in dead.message
 
     def test_unused_input(self):
         warnings = lint_text("in i: Int\nin ghost: Int\ndef t := time(i)\nout t")

@@ -1,8 +1,5 @@
 """Tests for dead-stream elimination (now `repro.opt.project_live`)."""
 
-import pytest
-
-from repro._deprecation import ReproDeprecationWarning
 from repro.compiler import build_compiled_spec
 from repro.lang import (
     Const,
@@ -19,7 +16,7 @@ from repro.lang import (
     flatten,
 )
 from repro.lang.builtins import builtin
-from repro.lang.prune import live_streams, prune
+from repro.lang.prune import live_streams
 from repro.opt import project_live
 from repro.speclib import fig1_spec
 from repro.testing import assert_equivalent
@@ -106,16 +103,14 @@ class TestProjectLive:
         spec = self._spec_with_dead_aggregate()
         trace = {"i": [(1, 4), (3, 7)]}
         expected = assert_equivalent(spec, trace)
-        with pytest.warns(ReproDeprecationWarning):
-            compiled = build_compiled_spec(spec, prune_dead=True)
+        compiled = build_compiled_spec(project_live(flat_of(spec)))
         pruned_out = compiled.run_traces(trace)
         assert {n: s.events for n, s in pruned_out.items()} == expected
 
     def test_pruned_monitor_is_smaller(self):
         spec = self._spec_with_dead_aggregate()
-        full = build_compiled_spec(spec, prune_dead=False)
-        with pytest.warns(ReproDeprecationWarning):
-            lean = build_compiled_spec(spec, prune_dead=True)
+        full = build_compiled_spec(spec)
+        lean = build_compiled_spec(project_live(flat_of(spec)))
         assert len(lean.source) < len(full.source)
         assert "set_add" not in lean.source.replace("_f_", " _f_")
 
@@ -124,20 +119,8 @@ class TestProjectLive:
         pruned = project_live(flat)
         assert pruned.types["out_t"] == INT
 
-
-class TestDeprecatedAliases:
-    def test_prune_warns_and_delegates(self):
-        flat = flat_of(TestProjectLive()._spec_with_dead_aggregate())
-        with pytest.warns(ReproDeprecationWarning, match="project_live"):
-            pruned = prune(flat)
-        assert set(pruned.definitions) == {"out_t"}
-
-    def test_prune_dead_kwarg_warns(self):
-        with pytest.warns(ReproDeprecationWarning, match="rewrite=True"):
-            build_compiled_spec(fig1_spec(), prune_dead=True)
-
-    def test_rewrite_subsumes_prune_dead(self):
-        spec = TestProjectLive()._spec_with_dead_aggregate()
+    def test_rewrite_drops_dead_family(self):
+        spec = self._spec_with_dead_aggregate()
         compiled = build_compiled_spec(spec, rewrite=True)
         assert "y" not in compiled.flat.definitions
         codes = {r.code for r in compiled.rewrite_result.applied}

@@ -54,11 +54,6 @@ class TestFingerprints:
             SPEC_TEXT, rewrite=True
         )
 
-    def test_text_fingerprint_differs_on_prune_dead(self):
-        assert text_fingerprint(
-            SPEC_TEXT, prune_dead=False
-        ) != text_fingerprint(SPEC_TEXT, prune_dead=True)
-
     def test_ruleset_version_is_in_the_key(self, monkeypatch):
         import repro.opt as opt
 
