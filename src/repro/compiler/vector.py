@@ -37,6 +37,7 @@ plan state (slot values, last cells, delay cells) unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -99,27 +100,104 @@ class FamilyVerdict:
 
 @dataclass(frozen=True)
 class VectorClassification:
-    """Per-family vector eligibility for one flat specification."""
+    """Per-family vector eligibility for one flat specification.
 
-    verdicts: Tuple[FamilyVerdict, ...]
-    #: Streams (inputs and definitions) executed columnar.
-    eligible: FrozenSet[str]
-    #: Topological execution order of the eligible defined streams.
-    order: Tuple[str, ...]
+    The stream-level pass (``reasons``, the placement order, the scan
+    triples) runs eagerly; the family verdicts need the partitioner and
+    are built on first access, so an ``auto`` compile whose outputs
+    already carry an ineligibility reason resolves to the plan engine
+    without partitioning.
+    """
+
+    flat: FlatSpec = field(repr=False, compare=False)
     #: Ineligible stream → first reason (structural, family-independent).
     reasons: Mapping[str, str]
     numpy_ok: bool
     error_mode: bool
-    #: Recognized running-aggregate feedback triples, executed as one
-    #: seeded prefix scan each: ``(h, k, s, x, op_name, ufunc, dtype)``
-    #: for ``h = last(s, x); k = op(h, x); s = merge(k, x)``.
-    scans: Tuple[Tuple[str, str, str, str, str, str, str], ...] = ()
+    #: Topological placement order of every stream the stream-level
+    #: pass placed, before family demotion.
+    placed: Tuple[str, ...] = ()
+    #: Recognized running-aggregate triples before family demotion.
+    candidate_scans: Tuple[Tuple[str, str, str, str, str, str, str], ...] = ()
+
+    @cached_property
+    def _families(self) -> Tuple[Tuple[FamilyVerdict, ...], FrozenSet[str]]:
+        from ..parallel.partition import partition_spec
+
+        flat, reasons = self.flat, self.reasons
+        verdicts: List[FamilyVerdict] = []
+        eligible: Set[str] = set()
+        for part in partition_spec(flat).partitions:
+            bad: List[Tuple[str, str]] = [
+                (stream, reasons[stream])
+                for stream in part.streams
+                if stream in reasons
+            ]
+            for out in part.outputs:
+                # Passthrough outputs (an input re-exported) have no
+                # defining member; their type still has to be columnar.
+                if out in flat.inputs and out in reasons:
+                    bad.append((out, reasons[out]))
+            verdict = FamilyVerdict(
+                streams=part.streams,
+                outputs=part.outputs,
+                eligible=not bad,
+                reasons=tuple(bad),
+            )
+            verdicts.append(verdict)
+            if verdict.eligible:
+                eligible.update(part.streams)
+                eligible.update(
+                    name for name in part.inputs if name not in reasons
+                )
+                eligible.update(
+                    name
+                    for name in part.outputs
+                    if name in flat.inputs and name not in reasons
+                )
+        return tuple(verdicts), frozenset(eligible)
+
+    @property
+    def verdicts(self) -> Tuple[FamilyVerdict, ...]:
+        """One verdict per alias-closed family (partition)."""
+        return self._families[0]
+
+    @property
+    def eligible(self) -> FrozenSet[str]:
+        """Streams (inputs and definitions) executed columnar."""
+        return self._families[1]
+
+    @property
+    def order(self) -> Tuple[str, ...]:
+        """Topological execution order of the eligible defined streams."""
+        eligible = self.eligible
+        return tuple(name for name in self.placed if name in eligible)
+
+    @property
+    def scans(self) -> Tuple[Tuple[str, str, str, str, str, str, str], ...]:
+        """Recognized running-aggregate feedback triples, executed as one
+        seeded prefix scan each: ``(h, k, s, x, op_name, ufunc, dtype)``
+        for ``h = last(s, x); k = op(h, x); s = merge(k, x)``.  A demoted
+        family drops its members, so a scan survives only with all
+        three streams columnar."""
+        eligible = self.eligible
+        return tuple(
+            triple
+            for triple in self.candidate_scans
+            if all(member in eligible for member in triple[:3])
+        )
 
     @property
     def auto_engine(self) -> str:
         """Engine ``engine="auto"`` resolves to: vector iff every
         output-owning family is eligible (and numpy is importable)."""
-        if not self.numpy_ok or self.error_mode or not self.eligible:
+        if not self.numpy_ok or self.error_mode:
+            return "plan"
+        # An ineligible output demotes its own family: plan, whatever
+        # the partitioner would say about the rest.
+        if any(out in self.reasons for out in self.flat.outputs):
+            return "plan"
+        if not self.eligible:
             return "plan"
         for verdict in self.verdicts:
             if verdict.outputs and not verdict.eligible:
@@ -286,12 +364,10 @@ def classify_vector(
     """Classify every alias-closed family of *flat* as vector-eligible.
 
     Purely syntactic over the typed flat spec (plus the partitioner's
-    alias-closed family structure), so it is cheap enough to run on
-    every compile — including warm plan-cache hits — for ``auto``
-    engine resolution.
+    alias-closed family structure, built on first use), so it is cheap
+    enough to run on every compile — including warm plan-cache hits —
+    for ``auto`` engine resolution.
     """
-    from ..parallel.partition import partition_spec
-
     defined = flat.definitions
     reasons: Dict[str, str] = {}
     for name in flat.streams:
@@ -357,56 +433,16 @@ def classify_vector(
             name, "recursive: in-batch feedback through last"
         )
 
-    # Family granularity: the alias-closed partitions (union-find over
-    # usage edges, AliasAnalysis classes never split, replicable scalar
-    # prefix copied per family).  An ineligible member demotes its whole
-    # family to the scalar plan path.
-    plan_partitions = partition_spec(flat)
-    verdicts: List[FamilyVerdict] = []
-    eligible: Set[str] = set()
-    for part in plan_partitions.partitions:
-        bad: List[Tuple[str, str]] = [
-            (stream, reasons[stream])
-            for stream in part.streams
-            if stream in reasons
-        ]
-        for out in part.outputs:
-            # Passthrough outputs (an input re-exported) have no defining
-            # member; their type still has to be columnar.
-            if out in flat.inputs and out in reasons:
-                bad.append((out, reasons[out]))
-        verdict = FamilyVerdict(
-            streams=part.streams,
-            outputs=part.outputs,
-            eligible=not bad,
-            reasons=tuple(bad),
-        )
-        verdicts.append(verdict)
-        if verdict.eligible:
-            eligible.update(part.streams)
-            eligible.update(
-                name for name in part.inputs if name not in reasons
-            )
-            eligible.update(
-                name
-                for name in part.outputs
-                if name in flat.inputs and name not in reasons
-            )
-
+    # Family granularity (the alias-closed partitions, where an
+    # ineligible member demotes its whole family to the scalar plan
+    # path) is computed lazily by the classification itself.
     return VectorClassification(
-        verdicts=tuple(verdicts),
-        eligible=frozenset(eligible),
-        order=tuple(name for name in order if name in eligible),
+        flat=flat,
         reasons=reasons,
         numpy_ok=kernels.numpy_available(),
         error_mode=error_policy is not None,
-        scans=tuple(
-            triple
-            for triple in scans
-            # A demoted family drops its members from the order; the
-            # scan only survives with all three streams columnar.
-            if all(member in eligible for member in triple[:3])
-        ),
+        placed=tuple(order),
+        candidate_scans=tuple(scans),
     )
 
 

@@ -179,9 +179,17 @@ def _instrumented(compiled: Any) -> Any:
     return twin
 
 
-def _run_one(
-    compiled: Any, events: Sequence[Event], options: _WorkerRunOptions
+def _run_monitor(
+    compiled: Any,
+    options: _WorkerRunOptions,
+    feed: Callable[[MonitorRunner], RunReport],
 ) -> Tuple[List[OutputEvent], RunReport]:
+    """Run one trace through ``feed(runner)``: collect outputs, meter.
+
+    The per-trace output collection and metrics instrumentation shared
+    by the row path (:func:`_run_one`) and the columnar shm path
+    (:func:`_run_one_columns`).
+    """
     outputs: Optional[List[OutputEvent]] = None
     on_output = None
     if options.collect_outputs:
@@ -201,16 +209,26 @@ def _run_one(
     runner = MonitorRunner(
         compiled, on_output, validate_inputs=options.validate_inputs
     )
-    report = runner.run(
-        events,
-        end_time=options.end_time,
-        batch_size=options.batch_size,
-    )
+    report = feed(runner)
     if registry is not None:
         from ..obs.metrics import diff_snapshots
 
         report.metrics = diff_snapshots(before, registry.snapshot())
     return outputs, report
+
+
+def _run_one(
+    compiled: Any, events: Sequence[Event], options: _WorkerRunOptions
+) -> Tuple[List[OutputEvent], RunReport]:
+    return _run_monitor(
+        compiled,
+        options,
+        lambda runner: runner.run(
+            events,
+            end_time=options.end_time,
+            batch_size=options.batch_size,
+        ),
+    )
 
 
 def _run_one_columns(
@@ -221,41 +239,20 @@ def _run_one_columns(
 ) -> Tuple[List[OutputEvent], RunReport]:
     """Run one dense columnar block through ``feed_columns``.
 
-    The shm-transport twin of :func:`_run_one`: same output collection,
-    same metrics instrumentation, but the input is the arena's shared
-    timestamp/value arrays handed zero-copy to the runner (the vector
-    engine consumes them as views; scalar engines row-shim internally).
-    Outputs are byte-identical to the row path by the engine's
-    ``feed_columns`` contract, and for dense blocks the consumed-event
-    count equals the row count, so ``RunReport.events_in`` parity with
-    the pipe transport holds.
+    The shm-transport twin of :func:`_run_one`: the input is the
+    arena's shared timestamp/value arrays handed zero-copy to the
+    vector engine, which consumes them as views.  Outputs are
+    byte-identical to the row path by the engine's ``feed_columns``
+    contract, and for dense blocks the consumed-event count equals the
+    row count, so ``RunReport.events_in`` parity with the pipe
+    transport holds.
     """
-    outputs: Optional[List[OutputEvent]] = None
-    on_output = None
-    if options.collect_outputs:
-        collected: List[OutputEvent] = []
 
-        def on_output(name: str, ts: int, value: Any) -> None:
-            collected.append((name, ts, freeze(value)))
+    def feed(runner: MonitorRunner) -> RunReport:
+        runner.feed_columns(timestamps, columns)
+        return runner.finish(end_time=options.end_time)
 
-        outputs = collected
-
-    registry = None
-    before = None
-    if options.metrics:
-        compiled = _instrumented(compiled)
-        registry = compiled.metrics
-        before = registry.snapshot()
-    runner = MonitorRunner(
-        compiled, on_output, validate_inputs=options.validate_inputs
-    )
-    runner.feed_columns(timestamps, columns)
-    report = runner.finish(end_time=options.end_time)
-    if registry is not None:
-        from ..obs.metrics import diff_snapshots
-
-        report.metrics = diff_snapshots(before, registry.snapshot())
-    return outputs, report
+    return _run_monitor(compiled, options, feed)
 
 
 def _run_attached(
@@ -266,14 +263,12 @@ def _run_attached(
 ) -> Tuple[List[OutputEvent], RunReport]:
     """Run one shm-attached trace (worker side of the shm transport).
 
-    Dense columnar payloads go through the ``feed_columns`` zero-copy
-    path; sparse/blob payloads reconstruct the exact original rows and
-    run through :func:`_run_one` unchanged.  ``prefix=True`` runs only
-    the first half (the chaos kill injector's mid-trace progress).
-    Input validation always takes the row path so error ordering
-    matches the pipe transport event for event.
+    Columnar payloads go through the ``feed_columns`` zero-copy path;
+    blob payloads unpickle the exact original rows and run through
+    :func:`_run_one` unchanged.  ``prefix=True`` runs only the first
+    half (the chaos kill injector's mid-trace progress).
     """
-    block = None if options.validate_inputs else attached.dense_block()
+    block = attached.dense_block()
     if block is not None:
         timestamps, columns = block
         if prefix:
@@ -628,6 +623,10 @@ class MonitorPool:
     ) -> PoolResult:
         """Process backend: forked workers under the Supervisor."""
         transport = self._resolve_transport()
+        # The arena's encoding follows the engine the workers run:
+        # resolved once per run, by the local compile (a warm
+        # plan-cache hit for text payloads).
+        engine = self._local_compiled().engine if transport == "shm" else None
         supervisor = Supervisor(
             self._payload,
             self._options,
@@ -641,6 +640,7 @@ class MonitorPool:
             fail_fast=self._fail_fast(),
             max_in_flight=self.max_in_flight,
             transport=transport,
+            engine=engine,
         )
         ordered = supervisor.run(traces, on_result=on_result)
         return self._finalize(

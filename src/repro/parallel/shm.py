@@ -8,21 +8,22 @@ the process boundary.  This module lifts the same idea to the
 inter-process data path:
 
 * :class:`TraceArena` (parent side) packs each trace **once** into a
-  ``multiprocessing.shared_memory`` segment.  Traces whose payloads are
-  shm-encodable — int/float/bool/unit values on timestamp-sorted
-  events, no duplicate ``(ts, stream)`` pairs — are stored *columnar*
-  (a shared int64 timestamp array plus one presence mask and one typed
-  value column per stream: the vector engine's SoA layout).  Anything
-  else is pickled once into the segment instead (the blob fallback),
-  so arbitrary payloads still ride shared memory.
+  ``multiprocessing.shared_memory`` segment.  By default the segment
+  holds the trace's event list pickled once (the blob encoding): no
+  per-event work in the parent, and the worker reads back the exact
+  original rows.  Only when the worker will feed the trace zero-copy —
+  the pool's resolved engine is vector, input validation is off and
+  the trace is *dense* (every stream fires at every timestamp, with
+  int/float/bool/unit values) — is it stored *columnar* instead: a
+  shared int64 timestamp array plus one typed value column per stream,
+  the vector engine's SoA layout.
 * Only a tiny :class:`ArenaDescriptor` (segment name, offsets,
   dtypes, lengths) crosses the pipe; a re-dispatch after a crash
   re-sends the descriptor and the new worker re-reads the same bytes.
-* Workers :func:`attach` read-only and — when the columnar encoding is
-  dense (every stream fires at every timestamp) and the resolved
-  engine is vector — feed the mapped arrays straight through the
-  existing ``feed_columns`` zero-copy path.  Sparse or blob payloads
-  reconstruct the exact original row events.
+* Workers :func:`attach` read-only.  Columnar payloads are read only
+  through :meth:`AttachedTrace.dense_block`, whose mapped arrays go
+  straight into ``feed_columns``; blob payloads come back verbatim
+  from :meth:`AttachedTrace.rows`.
 
 Crash-safety contract (the hard part):
 
@@ -87,13 +88,11 @@ class ArenaDescriptor:
     name plus offsets/lengths — a few hundred bytes regardless of trace
     size, identical on every retry.
 
-    ``kind`` is ``"columnar"`` (SoA layout: an int64 timestamp array at
-    ``ts_offset``, then per stream a bool presence mask and — except
-    for ``"unit"`` dtypes — a typed value column, both of ``length``
-    entries) or ``"pickle"`` (one pickled event-list blob at
-    ``payload_offset``).  ``count`` is the original row count;
-    ``dense`` is True when every stream fires at every timestamp — the
-    precondition for the ``feed_columns`` zero-copy path.
+    ``kind`` is ``"pickle"`` (the event list pickled into the first
+    ``size`` bytes) or ``"columnar"`` (a dense trace: an int64 array of
+    ``length`` timestamps at offset 0, then per stream — except for
+    ``"unit"`` dtypes — a typed value column of ``length`` entries).
+    ``count`` is the original row count.
     """
 
     name: str
@@ -101,13 +100,8 @@ class ArenaDescriptor:
     size: int
     count: int
     length: int = 0
-    dense: bool = False
-    ts_offset: int = 0
-    #: ``(stream, dtype_name, mask_offset, values_offset)`` per stream,
-    #: in the deterministic (sorted) stream order used for row rebuild.
-    streams: Tuple[Tuple[str, str, int, int], ...] = ()
-    payload_offset: int = 0
-    payload_length: int = 0
+    #: ``(stream, dtype_name, values_offset)`` per stream, sorted by name.
+    streams: Tuple[Tuple[str, str, int], ...] = ()
 
 
 def _align(offset: int) -> int:
@@ -118,7 +112,7 @@ def _column_dtype(values: Sequence[Any]) -> Optional[str]:
     """The homogeneous column dtype for a stream's values, or None.
 
     Exact-type matching, not ``isinstance``: a bool is not an int64
-    here, because decode must reproduce the original Python objects
+    here, because the columns must carry the original Python values
     bit-for-bit (``np.float64(1).item()`` of an int would come back as
     ``1.0`` and change downstream equality).
     """
@@ -142,26 +136,20 @@ def _column_dtype(values: Sequence[Any]) -> Optional[str]:
     return kind
 
 
-def _plan_columnar(events: List[Tuple[int, str, Any]]) -> Optional[Tuple]:
-    """Try the columnar encoding; None when the trace isn't eligible.
+def _dense_columns(events: List[Tuple[int, str, Any]]) -> Optional[Tuple]:
+    """``(timestamps, [(stream, dtype_name, column)])`` or None.
 
-    Eligible means: well-formed 3-tuples, int timestamps sorted
-    non-decreasing and non-negative, string stream names, homogeneous
-    int/float/bool/unit values per stream, and no duplicate
-    ``(ts, stream)`` pair (a duplicate's last-write-wins overwrite
-    cannot be represented in one column slot without losing the row
-    count).  Ineligible traces take the pickled-blob fallback, which
-    preserves the original rows — and therefore the original error
-    behavior — exactly.
+    Only dense traces qualify: well-formed 3-tuples with string stream
+    names, non-negative int timestamps sorted non-decreasing, every
+    stream firing exactly once at every timestamp, and homogeneous
+    int/float/bool/unit values per stream.  ``column`` is None for unit
+    streams.  Everything else takes the blob encoding.
     """
-    if not kernels.numpy_available():
-        return None
-    n = len(events)
-    if n < 2:
+    if not kernels.numpy_available() or len(events) < 2:
         return None  # a blob is smaller than the columnar scaffolding
     np = kernels.numpy_module()
+    per_ts: Dict[str, List[int]] = {}
     per_values: Dict[str, List[Any]] = {}
-    timestamps: List[int] = []
     previous = None
     for event in events:
         if type(event) is not tuple or len(event) != 3:
@@ -172,46 +160,36 @@ def _plan_columnar(events: List[Tuple[int, str, Any]]) -> Optional[Tuple]:
         if previous is not None and ts < previous:
             return None
         previous = ts
-        timestamps.append(ts)
-        per_values.setdefault(name, []).append(value)
-    if timestamps[0] < 0:
+        stamps = per_ts.get(name)
+        if stamps is None:
+            stamps = per_ts[name] = []
+            per_values[name] = []
+        stamps.append(ts)
+        per_values[name].append(value)
+    timestamps = next(iter(per_ts.values()))
+    if timestamps[0] < 0 or any(
+        stamps != timestamps for stamps in per_ts.values()
+    ):
         return None
+    if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
+        return None  # duplicate (ts, stream): last-write-wins rows
     try:
         ts_arr = np.asarray(timestamps, dtype=np.int64)
+        streams = []
+        for name in sorted(per_values):
+            dtype_name = _column_dtype(per_values[name])
+            if dtype_name is None:
+                return None
+            column = None
+            if dtype_name != "unit":
+                column = np.asarray(
+                    per_values[name],
+                    dtype=kernels.resolve_dtype(np, dtype_name),
+                )
+            streams.append((name, dtype_name, column))
     except (OverflowError, TypeError, ValueError):
         return None
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(ts_arr[1:], ts_arr[:-1], out=keep[1:])
-    positions = np.cumsum(keep) - 1
-    ts_unique = ts_arr[keep]
-    length = int(ts_unique.shape[0])
-    names_arr = np.empty(n, dtype=object)
-    names_arr[:] = [event[1] for event in events]
-    streams = []
-    dense = True
-    for name in sorted(per_values):
-        values = per_values[name]
-        dtype_name = _column_dtype(values)
-        if dtype_name is None:
-            return None
-        pos = positions[names_arr == name]
-        if pos.shape[0] > 1 and bool((pos[1:] == pos[:-1]).any()):
-            return None  # duplicate (ts, stream): last-write-wins rows
-        mask = np.zeros(length, dtype=bool)
-        mask[pos] = True
-        if pos.shape[0] != length:
-            dense = False
-        column = None
-        if dtype_name != "unit":
-            dtype = kernels.resolve_dtype(np, dtype_name)
-            column = np.zeros(length, dtype=dtype)
-            try:
-                column[pos] = np.asarray(values, dtype=dtype)
-            except (OverflowError, TypeError, ValueError):
-                return None
-        streams.append((name, dtype_name, mask, column))
-    return ts_unique, streams, length, dense
+    return ts_arr, streams
 
 
 class TraceArena:
@@ -235,69 +213,21 @@ class TraceArena:
         index: int,
         events: List[Tuple[int, str, Any]],
         *,
-        allow_columnar: bool = True,
+        columnar: bool = False,
     ) -> ArenaDescriptor:
         """Pack one trace into a fresh segment; returns its descriptor.
 
-        Raises on shm exhaustion (``/dev/shm`` full, name collisions) —
-        the caller falls back to the pipe for that trace.
-        ``allow_columnar=False`` forces the blob encoding (used when
-        input validation needs the exact original row order).
+        ``columnar=True`` (the worker runs the vector engine without
+        input validation) stores a dense trace columnar for the
+        zero-copy ``feed_columns`` path; every other trace is pickled
+        once into the segment.  Raises on shm exhaustion (``/dev/shm``
+        full, name collisions) — the caller falls back to the pipe for
+        that trace.
         """
         from multiprocessing import shared_memory
 
-        np = kernels.numpy_module() if kernels.numpy_available() else None
-        plan = _plan_columnar(events) if allow_columnar else None
-        if plan is not None:
-            ts_unique, streams, length, dense = plan
-            ts_offset = 0
-            offset = _align(ts_unique.nbytes)
-            layout = []
-            for name, dtype_name, mask, column in streams:
-                mask_offset = offset
-                offset = _align(offset + mask.nbytes)
-                values_offset = 0
-                if column is not None:
-                    values_offset = offset
-                    offset = _align(offset + column.nbytes)
-                layout.append((name, dtype_name, mask_offset, values_offset))
-            segment = shared_memory.SharedMemory(create=True, size=offset)
-            try:
-                np.frombuffer(
-                    segment.buf, dtype=np.int64, count=length, offset=ts_offset
-                )[:] = ts_unique
-                for (name, dtype_name, mask, column), entry in zip(
-                    streams, layout
-                ):
-                    np.frombuffer(
-                        segment.buf,
-                        dtype=np.bool_,
-                        count=length,
-                        offset=entry[2],
-                    )[:] = mask
-                    if column is not None:
-                        np.frombuffer(
-                            segment.buf,
-                            dtype=column.dtype,
-                            count=length,
-                            offset=entry[3],
-                        )[:] = column
-            except BaseException:
-                segment.close()
-                segment.unlink()
-                raise
-            descriptor = ArenaDescriptor(
-                name=segment.name,
-                kind="columnar",
-                size=offset,
-                count=len(events),
-                length=length,
-                dense=dense,
-                ts_offset=ts_offset,
-                streams=tuple(layout),
-            )
-            DEFAULT_REGISTRY.inc(POOL_BYTES_SHARED, offset)
-        else:
+        dense = _dense_columns(events) if columnar else None
+        if dense is None:
             blob = pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL)
             segment = shared_memory.SharedMemory(
                 create=True, size=max(1, len(blob))
@@ -313,10 +243,45 @@ class TraceArena:
                 kind="pickle",
                 size=len(blob),
                 count=len(events),
-                payload_offset=0,
-                payload_length=len(blob),
             )
             DEFAULT_REGISTRY.inc(POOL_BYTES_PICKLED, len(blob))
+        else:
+            ts_arr, streams = dense
+            layout = []
+            offset = _align(ts_arr.nbytes)
+            for name, dtype_name, column in streams:
+                values_offset = 0
+                if column is not None:
+                    values_offset = offset
+                    offset = _align(offset + column.nbytes)
+                layout.append((name, dtype_name, values_offset))
+            np = kernels.numpy_module()
+            segment = shared_memory.SharedMemory(create=True, size=offset)
+            try:
+                np.frombuffer(
+                    segment.buf, dtype=np.int64, count=len(ts_arr)
+                )[:] = ts_arr
+                for (_name, _dtype, column), entry in zip(streams, layout):
+                    if column is not None:
+                        np.frombuffer(
+                            segment.buf,
+                            dtype=column.dtype,
+                            count=len(column),
+                            offset=entry[2],
+                        )[:] = column
+            except BaseException:
+                segment.close()
+                segment.unlink()
+                raise
+            descriptor = ArenaDescriptor(
+                name=segment.name,
+                kind="columnar",
+                size=offset,
+                count=len(events),
+                length=len(ts_arr),
+                streams=tuple(layout),
+            )
+            DEFAULT_REGISTRY.inc(POOL_BYTES_SHARED, offset)
         self._segments[index] = segment
         return descriptor
 
@@ -372,18 +337,17 @@ def _attach_untracked(name: str) -> Any:
 class AttachedTrace:
     """A worker's read-only view of one packed trace.
 
-    ``dense_block()`` exposes the zero-copy columnar form (shared
+    A columnar payload is read through ``dense_block()`` (shared
     timestamps + per-stream value arrays, all marked non-writeable so a
-    kernel bug can never corrupt the segment other attempts re-read);
-    ``rows()`` reconstructs the exact original event tuples.  Call
-    :meth:`close` when the attempt ends — it drops this mapping only,
-    never the segment.
+    kernel bug can never corrupt the segment other attempts re-read); a
+    blob payload through ``rows()``, which returns the exact original
+    event tuples.  Call :meth:`close` when the attempt ends — it drops
+    this mapping only, never the segment.
     """
 
     def __init__(self, descriptor: ArenaDescriptor, segment: Any) -> None:
         self.descriptor = descriptor
         self._segment = segment
-        self._rows: Optional[List[Tuple[int, str, Any]]] = None
 
     def close(self) -> None:
         try:
@@ -391,18 +355,11 @@ class AttachedTrace:
         except (OSError, BufferError):  # pragma: no cover - defensive
             pass
 
-    # -- views -----------------------------------------------------------
-
     def _view(self, dtype_name: str, offset: int) -> Any:
         np = kernels.numpy_module()
-        dtype = (
-            np.bool_
-            if dtype_name == "bool"
-            else kernels.resolve_dtype(np, dtype_name)
-        )
         view = np.frombuffer(
             self._segment.buf,
-            dtype=dtype,
+            dtype=kernels.resolve_dtype(np, dtype_name),
             count=self.descriptor.length,
             offset=offset,
         )
@@ -412,17 +369,16 @@ class AttachedTrace:
     def dense_block(self) -> Optional[Tuple[Any, Dict[str, Any]]]:
         """``(timestamps, columns)`` for ``feed_columns``, or None.
 
-        Available only for dense columnar payloads (every stream at
-        every timestamp — the ``feed_columns`` contract).  Unit-valued
-        streams come back as plain ``UNIT_VALUE`` lists; typed streams
-        are read-only views straight over the segment.
+        None for a blob payload.  Unit-valued streams come back as plain
+        ``UNIT_VALUE`` lists; typed streams are read-only views straight
+        over the segment.
         """
         d = self.descriptor
-        if d.kind != "columnar" or not d.dense or not d.length:
+        if d.kind != "columnar":
             return None
-        timestamps = self._view("int64", d.ts_offset)
+        timestamps = self._view("int64", 0)
         columns: Dict[str, Any] = {}
-        for name, dtype_name, _mask_offset, values_offset in d.streams:
+        for name, dtype_name, values_offset in d.streams:
             if dtype_name == "unit":
                 columns[name] = [UNIT_VALUE] * d.length
             else:
@@ -430,38 +386,13 @@ class AttachedTrace:
         return timestamps, columns
 
     def rows(self) -> List[Tuple[int, str, Any]]:
-        """The trace as ``(ts, stream, value)`` rows (exact types)."""
-        if self._rows is not None:
-            return self._rows
+        """A blob payload's ``(ts, stream, value)`` rows, verbatim."""
         d = self.descriptor
-        if d.kind == "pickle":
-            self._rows = pickle.loads(
-                self._segment.buf[
-                    d.payload_offset : d.payload_offset + d.payload_length
-                ]
+        if d.kind != "pickle":
+            raise ValueError(
+                "a columnar payload is read through dense_block()"
             )
-            return self._rows
-        np = kernels.numpy_module()
-        ts_list = self._view("int64", d.ts_offset).tolist()
-        tagged: List[Tuple[int, int, Tuple[int, str, Any]]] = []
-        for order, (name, dtype_name, mask_offset, values_offset) in enumerate(
-            d.streams
-        ):
-            mask = self._view("bool", mask_offset)
-            indices = np.flatnonzero(mask).tolist()
-            if dtype_name == "unit":
-                values: Sequence[Any] = [UNIT_VALUE] * len(indices)
-            else:
-                values = self._view(dtype_name, values_offset)[
-                    np.flatnonzero(mask)
-                ].tolist()
-            for position, value in zip(indices, values):
-                tagged.append(
-                    (position, order, (ts_list[position], name, value))
-                )
-        tagged.sort(key=lambda item: (item[0], item[1]))
-        self._rows = [event for _pos, _order, event in tagged]
-        return self._rows
+        return pickle.loads(self._segment.buf[: d.size])
 
 
 def attach(descriptor: ArenaDescriptor) -> AttachedTrace:

@@ -319,9 +319,9 @@ def _worker_main(
     A task's payload is either the event list itself (pipe transport)
     or an :class:`~repro.parallel.shm.ArenaDescriptor` (shm transport)
     — then the worker attaches the parent-owned segment read-only,
-    feeds it (zero-copy columns when dense and the engine allows,
-    exact reconstructed rows otherwise) and closes its mapping
-    afterwards; it never unlinks.
+    feeds it (zero-copy columns for a columnar payload, the unpickled
+    rows of a blob) and closes its mapping afterwards; it never
+    unlinks.
     """
     from .pool import _run_attached, _run_one
     from .shm import ArenaDescriptor, attach
@@ -488,6 +488,7 @@ class Supervisor:
         fail_fast: bool = True,
         max_in_flight: Optional[int] = None,
         transport: str = "pipe",
+        engine: Optional[str] = None,
     ) -> None:
         self.payload = payload
         self.compile_options = compile_options
@@ -509,6 +510,10 @@ class Supervisor:
                 f"transport must be 'pipe' or 'shm', got {transport!r}"
             )
         self.transport = transport
+        #: The workers' resolved engine: under ``"vector"`` the shm
+        #: arena packs dense traces columnar, otherwise every trace
+        #: ships as a pickled blob.
+        self.engine = engine
         self.max_in_flight = (
             max(1, int(max_in_flight))
             if max_in_flight is not None
@@ -535,10 +540,11 @@ class Supervisor:
             from .shm import TraceArena
 
             arena = TraceArena()
-        # Input validation reports errors in original row order; the
-        # columnar encoding canonicalizes within-timestamp order, so
-        # validated runs pack the exact rows (blob encoding) instead.
-        allow_columnar = not getattr(
+        # Columnar packing pays only where a worker feeds the columns
+        # zero-copy: the vector engine, without input validation (which
+        # reports errors in original row order).  Everything else ships
+        # as a blob, with no per-event work in the parent.
+        columnar = self.engine == "vector" and not getattr(
             self.run_options, "validate_inputs", False
         )
         trace_iter = iter(enumerate(traces))
@@ -778,7 +784,7 @@ class Supervisor:
                         task.descriptor = arena.pack(
                             index,
                             task.events,
-                            allow_columnar=allow_columnar,
+                            columnar=columnar,
                         )
                         task.events = None
                     except Exception:  # noqa: BLE001 - per-trace degrade

@@ -233,3 +233,44 @@ class TestCheckpointOtherEngines:
         fresh.push("acc", 4, 99)
         fresh.finish()
         assert col2["ok"] == [(3, True), (4, False)]
+
+
+class TestCrossEngineResume:
+    """Snapshots are engine-specific: a plan snapshot holds slot arrays,
+    a codegen one per-stream attributes.  The resolved engine is part of
+    the checkpoint fingerprint, so a resume under another engine skips
+    the foreign checkpoint and starts fresh."""
+
+    def test_plan_checkpoint_skipped_by_codegen_resume(self, tmp_path):
+        from repro import api
+        from repro.compiler.checkpoint import list_checkpoints
+
+        events = [(t, "i", t % 5) for t in range(1, 60)]
+        plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
+        codegen = api.compile(
+            seen_set(), api.CompileOptions(engine="codegen")
+        )
+        assert set(plan.compiled.new_monitor().snapshot()) != set(
+            codegen.compiled.new_monitor().snapshot()
+        )
+        assert plan.fingerprint != codegen.fingerprint
+
+        directory = str(tmp_path)
+        api.run(
+            plan,
+            events[:40],
+            api.RunOptions(checkpoint_dir=directory, checkpoint_every=10),
+        )
+        assert list_checkpoints(directory)
+
+        metas, resumed, fresh = [], [], []
+        api.run(
+            codegen,
+            events,
+            api.RunOptions(checkpoint_dir=directory, resume=True),
+            on_output=lambda *event: resumed.append(event),
+            on_resume=metas.append,
+        )
+        api.run(codegen, events, on_output=lambda *event: fresh.append(event))
+        assert metas == [None]
+        assert resumed and resumed == fresh

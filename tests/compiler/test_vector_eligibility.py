@@ -9,13 +9,18 @@ stream.  The verdicts drive ``engine="auto"`` resolution and the
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import api
 from repro.compiler import kernels
 from repro.compiler.vector import classify_vector
 from repro.errors import ErrorPolicy
 from repro.frontend import parse_spec
 from repro.lang import check_types, flatten
 from repro.speclib import seen_set
+
+from ..integration.specgen import specifications
 
 pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy not installed"
@@ -140,6 +145,79 @@ class TestIneligible:
         cls = classify_vector(flat, error_policy=ErrorPolicy.PROPAGATE)
         assert cls.error_mode
         assert cls.auto_engine == "plan"
+
+
+def eager_auto_engine(cls):
+    """The ``auto`` rule with the families built first, shortcut-free."""
+    verdicts = cls.verdicts
+    if not cls.numpy_ok or cls.error_mode or not cls.eligible:
+        return "plan"
+    for verdict in verdicts:
+        if verdict.outputs and not verdict.eligible:
+            return "plan"
+    return "vector"
+
+
+MIXED_FAMILIES = """
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def s  := set_contains(yl, i)
+def dbl := add(i, i)
+out s
+out dbl
+"""
+
+
+class TestLazyFamilies:
+    """Family verdicts are built on first use, never for ``auto`` alone
+    when an output is already ineligible."""
+
+    def test_scalar_output_resolves_plan_without_partitioning(
+        self, monkeypatch
+    ):
+        import repro.parallel.partition as partition
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition_spec called")
+
+        monkeypatch.setattr(partition, "partition_spec", refuse)
+        assert api.compile(seen_set()).engine_resolved == "plan"
+
+    @pytest.mark.parametrize("spec", [seen_set(), MIXED_FAMILIES])
+    def test_diagnostics_match_eager_classification(self, spec):
+        monitor = api.compile(spec)
+        lazy = [
+            d.to_dict() for d in monitor.diagnostics() if d.code == "VEC001"
+        ]
+        eager_cls = classify_vector(monitor.compiled.flat)
+        eager_cls.verdicts  # build the families before anything else
+        eager = [d.to_dict() for d in eager_cls.diagnostics()]
+        assert lazy and lazy == eager
+
+    @pytest.mark.parametrize(
+        "text", [SCALAR_CHAIN, MIXED_FAMILIES], ids=["scalar", "mixed"]
+    )
+    def test_auto_engine_matches_eager_on_vector_specs(self, text):
+        flat, cls = classify(text)
+        assert cls.auto_engine == eager_auto_engine(classify_vector(flat))
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        spec=specifications(allow_delays=True),
+        policy=st.sampled_from([None, ErrorPolicy.PROPAGATE]),
+    )
+    def test_auto_engine_matches_eager_on_generated_specs(self, spec, policy):
+        flat = flatten(spec)
+        check_types(flat)
+        lazy = classify_vector(flat, error_policy=policy).auto_engine
+        eager_cls = classify_vector(flat, error_policy=policy)
+        assert lazy == eager_auto_engine(eager_cls)
 
 
 class TestNumpyAbsent:

@@ -28,7 +28,12 @@ from repro.compiler import kernels
 from repro.compiler.monitor import UNIT_VALUE
 from repro.errors import PoolError
 from repro.parallel import MonitorPool, TraceArena
-from repro.parallel.shm import attach, shm_available
+from repro.obs.metrics import (
+    DEFAULT_REGISTRY,
+    POOL_BYTES_PICKLED,
+    POOL_BYTES_SHARED,
+)
+from repro.parallel.shm import AttachedTrace, attach, shm_available
 from repro.testing import (
     chaos_pool_run,
     hang_worker,
@@ -87,17 +92,42 @@ def assert_no_new_segments(before):
 
 
 def roundtrip(events, **kwargs):
+    """Pack and attach one trace; return ``(descriptor, payload)``.
+
+    The payload is what a worker reads: ``rows()`` for a blob,
+    ``dense_block()`` (copied out of the segment) for a columnar pack.
+    """
     arena = TraceArena()
     try:
         descriptor = arena.pack(0, events, **kwargs)
         attached = attach(descriptor)
         try:
-            rows = attached.rows()
+            block = attached.dense_block()
+            if block is None:
+                return descriptor, attached.rows()
+            timestamps = block[0].tolist()
+            columns = {
+                name: column if isinstance(column, list) else column.tolist()
+                for name, column in block[1].items()
+            }
+            del block  # drop the segment views before close()
+            return descriptor, (timestamps, columns)
         finally:
             attached.close()
-        return descriptor, rows
     finally:
         arena.close_all()
+
+
+# Same-timestamp events deliberately out of stream-name order.
+MIXED_SPARSE = [(0, "b", 1), (0, "a", 2), (1, "a", 3), (3, "b", 4)]
+MIXED_DENSE = [
+    (0, "b", 1),
+    (0, "a", 2),
+    (1, "a", 3),
+    (1, "b", 4),
+    (2, "b", 5),
+    (2, "a", 6),
+]
 
 
 class TestEncoding:
@@ -111,17 +141,13 @@ class TestEncoding:
             (2, "a", -(2**40)),
             (2, "b", True),
         ]
-        descriptor, rows = roundtrip(events)
+        descriptor, (timestamps, columns) = roundtrip(events, columnar=True)
         assert descriptor.kind == "columnar"
-        assert rows == events
-        assert [type(v) for _t, _n, v in rows] == [
-            int,
-            bool,
-            int,
-            bool,
-            int,
-            bool,
-        ]
+        assert descriptor.count == len(events)
+        assert timestamps == [0, 1, 2]
+        assert columns == {"a": [1, 2, -(2**40)], "b": [True, False, True]}
+        assert [type(v) for v in columns["a"]] == [int, int, int]
+        assert [type(v) for v in columns["b"]] == [bool, bool, bool]
 
     @needs_numpy
     def test_float_and_unit_columns(self):
@@ -129,13 +155,18 @@ class TestEncoding:
             (t, "u", UNIT_VALUE) for t in range(5)
         ]
         events.sort(key=lambda e: e[0])
-        descriptor, rows = roundtrip(events)
+        descriptor, (timestamps, columns) = roundtrip(events, columnar=True)
         assert descriptor.kind == "columnar"
-        assert descriptor.dense
-        assert rows == events
+        assert timestamps == list(range(5))
+        assert columns == {
+            "f": [t * 0.5 for t in range(5)],
+            "u": [UNIT_VALUE] * 5,
+        }
 
     @needs_numpy
-    def test_sparse_columnar_keeps_row_order(self):
+    def test_sparse_trace_packs_as_blob(self):
+        # Only dense traces feed feed_columns zero-copy; a sparse one
+        # ships as a blob even when the columnar encoding is allowed.
         events = [
             (0, "a", 1),
             (2, "b", 5),
@@ -143,24 +174,32 @@ class TestEncoding:
             (3, "b", 6),
             (9, "a", 3),
         ]
-        descriptor, rows = roundtrip(events)
-        assert descriptor.kind == "columnar"
-        assert not descriptor.dense
+        descriptor, rows = roundtrip(events, columnar=True)
+        assert descriptor.kind == "pickle"
         assert rows == events
+
+    @needs_numpy
+    @pytest.mark.parametrize("events", [MIXED_SPARSE, MIXED_DENSE])
+    def test_row_path_keeps_within_timestamp_order(self, events):
+        # The row path hands workers the exact original event tuples,
+        # including the order of events that share a timestamp.
+        descriptor, rows = roundtrip(events)
+        assert rows == events
+        assert descriptor.kind == "pickle"
 
     @needs_numpy
     def test_duplicate_ts_stream_falls_back_to_pickle(self):
         # Last-write-wins duplicates cannot live in one column slot
         # without losing a row; the blob keeps them verbatim.
         events = [(0, "a", 1), (0, "a", 2), (1, "a", 3)]
-        descriptor, rows = roundtrip(events)
+        descriptor, rows = roundtrip(events, columnar=True)
         assert descriptor.kind == "pickle"
         assert rows == events
 
     @needs_numpy
     def test_heterogeneous_values_fall_back_to_pickle(self):
         events = [(0, "a", 1), (1, "a", "text"), (2, "a", {"k": [1]})]
-        descriptor, rows = roundtrip(events)
+        descriptor, rows = roundtrip(events, columnar=True)
         assert descriptor.kind == "pickle"
         assert rows == events
 
@@ -168,30 +207,48 @@ class TestEncoding:
     def test_mixed_int_float_column_falls_back(self):
         # 1 and 1.0 compare equal but are different Python objects; a
         # float64 column would silently retype the int.
-        descriptor, rows = roundtrip([(0, "a", 1), (1, "a", 1.0)])
+        descriptor, rows = roundtrip(
+            [(0, "a", 1), (1, "a", 1.0)], columnar=True
+        )
         assert descriptor.kind == "pickle"
         assert [type(v) for _t, _n, v in rows] == [int, float]
 
     @needs_numpy
     def test_unsorted_timestamps_fall_back(self):
         events = [(5, "a", 1), (2, "a", 2)]
-        descriptor, rows = roundtrip(events)
+        descriptor, rows = roundtrip(events, columnar=True)
         assert descriptor.kind == "pickle"
         assert rows == events
 
     @needs_numpy
-    def test_allow_columnar_false_forces_blob(self):
+    def test_blob_is_the_default(self):
         events = [(t, "a", t) for t in range(10)]
-        descriptor, rows = roundtrip(events, allow_columnar=False)
+        descriptor, rows = roundtrip(events)
         assert descriptor.kind == "pickle"
         assert rows == events
 
     def test_pickle_roundtrip_without_numpy(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         events = [(t, "a", t) for t in range(10)]
-        descriptor, rows = roundtrip(events)
+        descriptor, rows = roundtrip(events, columnar=True)
         assert descriptor.kind == "pickle"
         assert rows == events
+
+    @needs_numpy
+    def test_rows_rejects_columnar_payload(self):
+        arena = TraceArena()
+        try:
+            descriptor = arena.pack(
+                0, [(t, "a", t) for t in range(4)], columnar=True
+            )
+            attached = attach(descriptor)
+            try:
+                with pytest.raises(ValueError):
+                    attached.rows()
+            finally:
+                attached.close()
+        finally:
+            arena.close_all()
 
     def test_release_is_idempotent_and_unlinks(self):
         before = shm_entries()
@@ -256,6 +313,126 @@ class TestEquivalence:
     def test_invalid_transport_rejected(self):
         with pytest.raises(ValueError):
             MonitorPool(SEEN_SET_TEXT, transport="carrier-pigeon")
+
+
+TWO_STREAM_TEXT = """\
+in db2: Int
+in db3: Int
+def tick := merge(db2, db3)
+def m_m := merge(m, map_empty(unit))
+def m_l := last(m_m, tick)
+def tins := map_get_or(m_l, db3, db3 - db3)
+def ok := slift(leq, time(db3) - tins, 60)
+def m := map_put_if(m_l, db2, time(tick))
+out ok
+"""
+
+
+def two_stream_traces(count, length=60):
+    return [
+        to_events(random_trace(["db2", "db3"], length, 9, seed))
+        for seed in range(count)
+    ]
+
+
+def dense_traces(count, length=50):
+    return [
+        [(t, "i", (t * seed) % 7) for t in range(length)]
+        for seed in range(count)
+    ]
+
+
+@pytest.fixture
+def packed_kinds(monkeypatch):
+    """Record every descriptor kind the parent packs; count pool bytes."""
+    kinds = []
+    original = TraceArena.pack
+
+    def spy(self, index, events, **kwargs):
+        descriptor = original(self, index, events, **kwargs)
+        kinds.append(descriptor.kind)
+        return descriptor
+
+    monkeypatch.setattr(TraceArena, "pack", spy)
+    monkeypatch.setattr(DEFAULT_REGISTRY, "enabled", True)
+    return kinds
+
+
+def pool_bytes(name):
+    return DEFAULT_REGISTRY.snapshot()["counters"].get(name, 0)
+
+
+class TestEncodingChoice:
+    """Columnar only where the worker feeds ``feed_columns`` zero-copy."""
+
+    def test_plan_pool_packs_sparse_two_stream_as_blob(self, packed_kinds):
+        assert api.compile(TWO_STREAM_TEXT).engine_resolved == "plan"
+        traces = two_stream_traces(4)
+        shared = pool_bytes(POOL_BYTES_SHARED)
+        pickled = pool_bytes(POOL_BYTES_PICKLED)
+        result = MonitorPool(
+            TWO_STREAM_TEXT, jobs=2, backend="process", transport="shm"
+        ).run_many(traces)
+        assert result.failures == 0
+        assert packed_kinds == ["pickle"] * len(traces)
+        assert pool_bytes(POOL_BYTES_SHARED) == shared
+        assert pool_bytes(POOL_BYTES_PICKLED) > pickled
+
+    @pytest.mark.parametrize("engine", ["plan", "codegen"])
+    def test_dense_trace_under_scalar_engine_packs_as_blob(
+        self, packed_kinds, engine
+    ):
+        traces = dense_traces(3)
+        options = api.CompileOptions(engine=engine)
+        serial = MonitorPool(
+            VECTOR_TEXT, compile_options=options, jobs=1
+        ).run_many(traces)
+        result = MonitorPool(
+            VECTOR_TEXT,
+            compile_options=options,
+            jobs=2,
+            backend="process",
+            transport="shm",
+        ).run_many(traces)
+        assert packed_kinds == ["pickle"] * len(traces)
+        assert result.outputs() == serial.outputs()
+
+    @needs_numpy
+    def test_vector_pool_feeds_dense_columns(self, packed_kinds, monkeypatch):
+        # Forked workers inherit the patch: a worker that took the row
+        # path instead of dense_block() would fail its trace.
+        def no_rows(self):
+            raise AssertionError("columnar trace read through rows()")
+
+        monkeypatch.setattr(AttachedTrace, "rows", no_rows)
+        assert api.compile(VECTOR_TEXT).engine_resolved == "vector"
+        traces = dense_traces(3)
+        serial = MonitorPool(VECTOR_TEXT, jobs=1).run_many(traces)
+        shared = pool_bytes(POOL_BYTES_SHARED)
+        result = MonitorPool(
+            VECTOR_TEXT, jobs=2, backend="process", transport="shm"
+        ).run_many(traces)
+        assert result.failures == 0
+        assert packed_kinds == ["columnar"] * len(traces)
+        assert pool_bytes(POOL_BYTES_SHARED) > shared
+        assert result.outputs() == serial.outputs()
+
+    @needs_numpy
+    def test_sparse_two_stream_shm_matches_pipe_and_serial(self):
+        traces = two_stream_traces(6)
+        serial = MonitorPool(TWO_STREAM_TEXT, jobs=1).run_many(traces)
+        before = shm_entries()
+        outputs = {}
+        for transport in ("pipe", "shm"):
+            result = MonitorPool(
+                TWO_STREAM_TEXT, jobs=2, backend="process", transport=transport
+            ).run_many(traces)
+            assert result.transport == transport
+            assert result.failures == 0
+            outputs[transport] = result.outputs()
+        assert_no_new_segments(before)
+        assert outputs["shm"] == outputs["pipe"] == serial.outputs()
+        assert any(serial.outputs())
 
 
 class TestChaosLeakMatrix:
