@@ -4,21 +4,19 @@ Two sections, one artifact:
 
 * ``scaling`` — aggregate events/sec of :class:`repro.parallel.MonitorPool`
   running the paper's Fig. 1 Seen Set monitor over many independent
-  Fig. 9 synthetic traces, at 1/2/4/8 workers, on **both** pool
-  backends: the supervised ``process`` backend (forked workers,
-  heartbeats, restart/retry machinery live but idle on the fault-free
-  path) and the ``thread`` backend (the GIL-bound baseline).
+  Fig. 9 synthetic traces, at 1/2/4/8 supervised worker processes
+  (forked workers, heartbeats, restart/retry machinery live but idle
+  on the fault-free path; ``jobs=1`` is the in-process sequential
+  loop).
 * ``transport`` — the same pool on a vector-eligible spec over dense
-  >= 50k-event traces, process backend, ``pipe`` vs ``shm`` trace
-  transports side by side.  The shm transport packs each trace once
-  into a shared-memory arena and ships only a descriptor per dispatch;
-  the pipe transport pickles the full event list per dispatch.  The
-  thread backend is recorded alongside for reference — it has no
-  process boundary, so its transport is honestly stamped ``inline``.
+  >= 50k-event traces, ``pipe`` vs ``shm`` trace transports side by
+  side.  The shm transport packs each trace once into a shared-memory
+  arena and ships only a descriptor per dispatch; the pipe transport
+  pickles the full event list per dispatch.
 
 Compilation happens once per worker against a warm on-disk plan cache
-and is excluded from the timed region.  Every (backend, jobs,
-transport) cell gets a **full warm-up round** — the complete workload
+and is excluded from the timed region.  Every (jobs, transport) cell
+gets a **full warm-up round** — the complete workload
 runs once untimed before the clock starts — so fork cost, page-cache
 state and allocator warm-up never pollute the curves.
 
@@ -36,8 +34,8 @@ Usage::
 Exit status is non-zero — *enforced only on machines with at least 4
 CPUs* — when any of these fail:
 
-* the process backend's 4-worker speedup over 1 worker falls below the
-  scaling threshold (default 2.5x),
+* the pool's 4-worker speedup over 1 worker falls below the scaling
+  threshold (default 2.5x),
 * shm throughput at 4 workers falls below ``--transport-threshold``
   (default 2.0x) times pipe throughput on the transport workload,
 * the shm transport's own 4-vs-1 scaling is not > 1.0.
@@ -94,7 +92,6 @@ DOMAIN = 64
 BATCH_SIZE = 4_096
 REPEATS = 3
 JOB_COUNTS = (1, 2, 4, 8)
-BACKENDS = ("process", "thread")
 THRESHOLD = 2.5
 
 TRANSPORT_TRACES = 8
@@ -127,7 +124,6 @@ def _vector_traces():
 
 def _measure(
     spec_text,
-    backend,
     jobs,
     traces,
     cache_dir,
@@ -147,7 +143,6 @@ def _measure(
         spec_text,
         compile_options=options,
         jobs=jobs,
-        backend=backend,
         transport=transport,
     )
 
@@ -184,9 +179,7 @@ def _measure(
     return best, retries, warm.transport, payload_bytes
 
 
-def _curve(
-    spec_text, backend, traces, cache, total_events, *, transport, repeats
-):
+def _curve(spec_text, traces, cache, total_events, *, transport, repeats):
     curve = {}
     retries_total = 0
     resolved = None
@@ -194,7 +187,6 @@ def _curve(
     for jobs in JOB_COUNTS:
         seconds, retries, resolved, cell_payload = _measure(
             spec_text,
-            backend,
             jobs,
             traces,
             cache,
@@ -214,7 +206,7 @@ def _curve(
             curve["1"]["seconds"] / curve["4"]["seconds"], 2
         ),
         "meta": bench_metadata(
-            pool_backend=backend,
+            pool_backend="process",
             retries=retries_total,
             transport=resolved,
             payload_bytes=payload,
@@ -231,7 +223,7 @@ def main(argv=None):
         "--threshold",
         type=float,
         default=THRESHOLD,
-        help="minimum process-backend 4-worker vs 1-worker events/sec"
+        help="minimum 4-worker vs 1-worker events/sec"
         " ratio (enforced only when the machine has >= 4 CPUs)",
     )
     parser.add_argument(
@@ -253,48 +245,32 @@ def main(argv=None):
     # Prime the plan caches once; every worker warm-starts from them.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    backends = {}
     transport_curves = {}
     try:
         with tempfile.TemporaryDirectory(prefix="plan-cache-") as cache:
             api.compile(SEEN_SET_TEXT, api.CompileOptions(plan_cache=cache))
             api.compile(VECTOR_TEXT, api.CompileOptions(plan_cache=cache))
-            for backend in BACKENDS:
-                backends[backend] = _curve(
-                    SEEN_SET_TEXT,
-                    backend,
-                    traces,
-                    cache,
-                    total_events,
-                    transport="auto",
-                    repeats=REPEATS,
-                )
+            process = _curve(
+                SEEN_SET_TEXT,
+                traces,
+                cache,
+                total_events,
+                transport="auto",
+                repeats=REPEATS,
+            )
             for transport in ("pipe", "shm"):
                 transport_curves[transport] = _curve(
                     VECTOR_TEXT,
-                    "process",
                     vec_traces,
                     cache,
                     vec_total,
                     transport=transport,
                     repeats=TRANSPORT_REPEATS,
                 )
-            # The thread backend has no process boundary; recorded for
-            # reference, stamped with its honest "inline" transport.
-            transport_curves["thread"] = _curve(
-                VECTOR_TEXT,
-                "thread",
-                vec_traces,
-                cache,
-                vec_total,
-                transport="auto",
-                repeats=TRANSPORT_REPEATS,
-            )
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    process = backends["process"]
     speedup_4 = process["speedup_4_vs_1"]
     shm_vs_pipe_4 = round(
         transport_curves["shm"]["jobs"]["4"]["events_per_sec"]
@@ -317,9 +293,7 @@ def main(argv=None):
         "repeats": REPEATS,
         "timing": "run-only (workers started and compiled against a warm"
         " plan cache, one full untimed warm-up round per cell), best of N",
-        "backends": backends,
-        # Headline numbers are the supervised process backend, the one
-        # that can actually scale pure-Python engines past the GIL.
+        "scaling": process,
         "jobs": process["jobs"],
         "speedup_4_vs_1": speedup_4,
         "threshold": args.threshold,
@@ -348,17 +322,9 @@ def main(argv=None):
     failed = False
     if threshold_enforced and speedup_4 < args.threshold:
         print(
-            f"FAIL: process-backend 4-worker speedup {speedup_4:.2f}x is"
+            f"FAIL: pool 4-worker speedup {speedup_4:.2f}x is"
             f" below the {args.threshold:.1f}x threshold on a"
             f" {cpus}-CPU machine",
-            file=sys.stderr,
-        )
-        failed = True
-    if threshold_enforced and speedup_4 < backends["thread"]["speedup_4_vs_1"]:
-        print(
-            "FAIL: process backend scales worse than the thread backend"
-            f" ({speedup_4:.2f}x vs"
-            f" {backends['thread']['speedup_4_vs_1']:.2f}x)",
             file=sys.stderr,
         )
         failed = True
@@ -382,8 +348,7 @@ def main(argv=None):
     if not threshold_enforced:
         print(
             f"note: thresholds not enforced ({cpus} CPU(s) < 4);"
-            f" measured process 4-vs-1 speedup {speedup_4:.2f}x,"
-            f" thread {backends['thread']['speedup_4_vs_1']:.2f}x,"
+            f" measured pool 4-vs-1 speedup {speedup_4:.2f}x,"
             f" shm-vs-pipe at 4 workers {shm_vs_pipe_4:.2f}x"
         )
     else:

@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 _ENGINES = ("auto", "codegen", "plan", "vector")
-_PARTITION_MODES = ("off", "auto")
-_POOL_BACKENDS = ("process", "thread")
 _POOL_TRANSPORTS = ("auto", "shm", "pipe")
 
 
@@ -139,27 +137,6 @@ class CompileOptions:
                 f" {_ENGINES}"
             )
 
-    def build_kwargs(self) -> Dict[str, Any]:
-        """The engine-room ``build_compiled_spec`` keyword arguments.
-
-        Used wherever a compilation must be *replayed* with identical
-        result-shaping options — e.g. compiling the sub-specifications
-        of a partition plan (see :mod:`repro.parallel`).
-        """
-        return {
-            "optimize": self.optimize,
-            "backend_override": self.backend,
-            "class_name": self.class_name,
-            # The partitioned flat is already final: the rewrite pass
-            # (if any) ran on the whole spec before it was split, so
-            # replays must not transform it again.
-            "rewrite": False,
-            "engine": self.engine,
-            "error_policy": self.error_policy,
-            "alias_guard": self.alias_guard,
-            "plan_cache": self.plan_cache,
-        }
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -186,15 +163,9 @@ class RunOptions:
     on_unknown_stream: str = "raise"
     on_out_of_order: str = "raise"
     max_skew: int = 0
-    #: Worker/thread count for the parallel subsystem: partitions per
-    #: batch under ``partition="auto"``, worker processes in
-    #: :func:`run_many`.  ``1`` — sequential, no pool spin-up.
+    #: Worker processes for :func:`run_many` (:func:`run` ignores it).
+    #: ``1`` — sequential, no pool spin-up.
     jobs: int = 1
-    #: ``"auto"`` — split the spec into alias-closed partitions and
-    #: execute them concurrently per timestamp batch (falls back to
-    #: the sequential engine when the spec is one component);
-    #: ``"off"`` — the single-monitor path.
-    partition: str = "off"
     #: Record per-stream copy/in-place counters for this run (see
     #: :mod:`repro.obs`).  The first metrics run builds an instrumented
     #: twin of the compiled monitor (memoized on the :class:`Monitor`);
@@ -202,21 +173,17 @@ class RunOptions:
     #: The run's snapshot lands in ``RunReport.metrics`` and accumulates
     #: in :meth:`Monitor.metrics`.
     metrics: bool = False
-    #: Worker backend for :func:`run_many`: ``"process"`` — supervised
-    #: forked workers (heartbeats, restarts, the only way pure-Python
-    #: engines scale past the GIL); ``"thread"`` — in-process threads.
-    pool_backend: str = "process"
-    #: Trace payload transport for the process backend of
+    #: Trace payload transport for the worker processes of
     #: :func:`run_many`: ``"auto"`` (the default) packs each trace
     #: once into parent-owned shared-memory segments and dispatches
     #: only an arena descriptor — retries re-read instead of
     #: re-pickling — degrading to the pickle-over-pipe path where the
     #: platform lacks shared memory; ``"shm"``/``"pipe"`` force a
-    #: transport.  Thread/sequential execution ignores this (no
+    #: transport.  Sequential execution (``jobs=1``) ignores this (no
     #: process boundary).
     pool_transport: str = "auto"
-    #: Per-trace wall-clock deadline in seconds for the process
-    #: backend; a trace outliving it is killed and re-dispatched.
+    #: Per-trace wall-clock deadline in seconds for the worker
+    #: processes; a trace outliving it is killed and re-dispatched.
     trace_timeout: Optional[float] = None
     #: Re-dispatches a failing/interrupted trace may consume after its
     #: first attempt; ``0`` disables retries.  A trace exhausting
@@ -234,23 +201,6 @@ class RunOptions:
             raise ValueError("resume=True requires checkpoint_dir")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.partition not in _PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition!r}; expected"
-                f" one of {_PARTITION_MODES}"
-            )
-        if self.partition == "auto" and (
-            self.checkpoint_dir is not None or self.resume
-        ):
-            raise ValueError(
-                "partition='auto' does not support checkpointing or"
-                " resume; run the single-monitor path for durable runs"
-            )
-        if self.pool_backend not in _POOL_BACKENDS:
-            raise ValueError(
-                f"unknown pool backend {self.pool_backend!r}; expected"
-                f" one of {_POOL_BACKENDS}"
-            )
         if self.pool_transport not in _POOL_TRANSPORTS:
             raise ValueError(
                 f"unknown pool transport {self.pool_transport!r}; expected"
@@ -291,10 +241,6 @@ class Monitor:
         #: lets the worker pool ship the text (plus the plan-cache
         #: fingerprint) across process boundaries instead of a monitor.
         self.source_text = source_text
-        # Memoized partition plan for partition="auto" (the plan is a
-        # pure function of the flat spec; recomputing it per run would
-        # tax the single-component fallback).
-        self._partition_plan = None
         # Metrics memos: the registry accumulates across this handle's
         # instrumented runs; the twin is the compiled spec rebuilt with
         # counting lift bindings (built on the first metrics run).
@@ -511,15 +457,6 @@ def run(
     options = options or RunOptions()
     compiled = monitor.compiled if isinstance(monitor, Monitor) else monitor
 
-    if options.partition == "auto":
-        partitioned = _partitioned_run(
-            monitor, compiled, events, options, on_output
-        )
-        if partitioned is not None:
-            return partitioned
-        # One alias-closed component: fall through to the sequential
-        # engine (no partition compile, no pool spin-up, no overhead).
-
     registry = None
     before = None
     if options.metrics:
@@ -640,69 +577,6 @@ def _ingest(compiled, events, options):
     return event_iter, stats, reader
 
 
-def _partitioned_run(
-    monitor: Union[Monitor, CompiledSpec],
-    compiled: CompiledSpec,
-    events: Union[Mapping[str, Any], Iterable[Tuple[int, str, Any]]],
-    options: RunOptions,
-    on_output: Optional[Callable[[str, int, Any], None]],
-) -> Optional[RunReport]:
-    """The ``partition="auto"`` path; ``None`` when not parallelizable.
-
-    A spec with a single alias-closed component returns ``None`` so
-    :func:`run` falls through to the sequential engine — the existing
-    compiled monitor is reused and nothing is spun up.
-    """
-    from .parallel.partition import partition_spec
-    from .parallel.partitioned import PartitionedRunner
-
-    if isinstance(monitor, Monitor) and monitor._partition_plan is not None:
-        plan = monitor._partition_plan
-    else:
-        plan = partition_spec(compiled.flat)
-        if isinstance(monitor, Monitor):
-            monitor._partition_plan = plan
-    if not plan.parallelizable:
-        return None
-    compile_options = (
-        monitor.options if isinstance(monitor, Monitor) else CompileOptions()
-    )
-    compile_kwargs = compile_options.build_kwargs()
-    registry = None
-    before = None
-    if options.metrics:
-        # Partition WRITE-streams are disjoint (only the scalar prefix
-        # is replicated), so all sub-compilations can share one
-        # registry: each stream's counters are bumped by exactly one
-        # partition's monitor.
-        if isinstance(monitor, Monitor):
-            registry = monitor._metrics_registry()
-        else:
-            from .obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-        compile_kwargs["metrics"] = registry
-        before = registry.snapshot()
-    runner = PartitionedRunner(
-        compiled,
-        on_output,
-        compile_kwargs=compile_kwargs,
-        plan=plan,
-        jobs=options.jobs,
-        validate_inputs=options.validate_inputs,
-    )
-    event_iter, stats, _reader = _ingest(compiled, events, options)
-    runner.feed(event_iter, batch_size=options.batch_size)
-    report = runner.finish(end_time=options.end_time)
-    if stats is not None:
-        report.absorb_ingest(stats)
-    if registry is not None:
-        from .obs.metrics import diff_snapshots
-
-        report.metrics = diff_snapshots(before, registry.snapshot())
-    return report
-
-
 def run_many(
     monitor: Union[Monitor, CompiledSpec, str],
     traces: Iterable[Iterable[Tuple[int, str, Any]]],
@@ -718,10 +592,9 @@ def run_many(
     *traces* is an iterable of event sequences (each an iterable of
     ``(ts, stream, value)`` tuples, timestamp-sorted).  With
     ``options.jobs > 1`` the traces are distributed over a supervised
-    worker pool (see :class:`repro.parallel.MonitorPool`):
-    ``options.pool_backend`` selects forked processes (default; the
-    GIL escape) or threads, in-flight batches are bounded, results
-    come back ordered and exactly once, interrupted traces are
+    pool of forked worker processes (see
+    :class:`repro.parallel.MonitorPool`): in-flight traces are bounded,
+    results come back ordered and exactly once, interrupted traces are
     re-dispatched up to ``options.max_retries`` times
     (``options.trace_timeout`` bounds each attempt), and exhausted
     traces degrade per the compiled spec's error policy.  Returns a
@@ -742,7 +615,6 @@ def run_many(
         compile_options=compile_options,
         jobs=options.jobs,
         max_in_flight=max_in_flight,
-        backend=options.pool_backend,
         retry=RetryPolicy(max_attempts=options.max_retries + 1),
         trace_timeout=options.trace_timeout,
         transport=options.pool_transport,

@@ -13,8 +13,7 @@ Subcommands over a textual specification file:
   (lines ``timestamp,stream,value``) and print outputs as CSV;
 * ``run-many`` — run the monitor over many independent CSV traces
   (``--traces a.csv b.csv ...``) on the supervised worker pool
-  (``--jobs``, ``--pool-backend process|thread``,
-  ``--pool-transport auto|shm|pipe``, ``--trace-timeout``,
+  (``--jobs``, ``--pool-transport auto|shm|pipe``, ``--trace-timeout``,
   ``--max-retries``) and print outputs as ``trace,ts,stream,value``
   lines in submission order; quarantined traces warn on stderr, and a
   fail-fast abort is the usual one-line ``error:`` diagnostic naming
@@ -213,8 +212,6 @@ def _run_options(args) -> "api.RunOptions":
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         jobs=args.jobs,
-        partition=args.partition,
-        pool_backend=args.pool_backend,
         pool_transport=args.pool_transport,
         trace_timeout=args.trace_timeout,
         max_retries=args.max_retries,
@@ -380,9 +377,8 @@ def _cmd_run_many(args, flat) -> int:
     Reads each ``--traces`` CSV file exactly once (lazily, under the
     pool's backpressure window), distributes them over the supervised
     :class:`~repro.parallel.MonitorPool`
-    (``--jobs``/``--pool-backend``/``--pool-transport``/
-    ``--trace-timeout``/``--max-retries``), and streams results in
-    submission order as
+    (``--jobs``/``--pool-transport``/``--trace-timeout``/
+    ``--max-retries``), and streams results in submission order as
     ``trace,ts,stream,value`` CSV lines.  A quarantined trace prints a
     one-line ``warning:`` on stderr and the run keeps draining; under
     fail-fast (the default error policy) a poison trace aborts with the
@@ -456,8 +452,6 @@ def _cmd_profile(args, flat) -> int:
             end_time=args.end_time,
             batch_size=args.batch_size or 4096,
             validate_inputs=args.validate_inputs,
-            jobs=args.jobs,
-            partition=args.partition,
             metrics=True,
         )
         report = api.run(monitor, events, run_options)
@@ -788,35 +782,25 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker count: partitions per batch for 'run'"
-        " --partition=auto, pool workers for 'run-many'; 1 runs"
-        " sequentially",
-    )
-    parser.add_argument(
-        "--pool-backend",
-        choices=["process", "thread"],
-        default="process",
-        help="for 'run-many': supervised forked workers (process, the"
-        " default — scales pure-Python engines past the GIL) or"
-        " in-process threads",
+        help="for 'run-many': worker processes; 1 runs sequentially",
     )
     parser.add_argument(
         "--pool-transport",
         choices=["auto", "shm", "pipe"],
         default="auto",
-        help="for 'run-many' (process backend): how trace payloads"
-        " reach the workers — shared-memory arena segments with"
-        " descriptor-only dispatch (shm; retries re-read instead of"
-        " re-pickling), pickled event lists per attempt (pipe), or"
-        " shm wherever the platform supports it (auto, the default)",
+        help="for 'run-many': how trace payloads reach the workers —"
+        " shared-memory arena segments with descriptor-only dispatch"
+        " (shm; retries re-read instead of re-pickling), pickled event"
+        " lists per attempt (pipe), or shm wherever the platform"
+        " supports it (auto, the default)",
     )
     parser.add_argument(
         "--trace-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="for 'run-many' (process backend): per-trace wall-clock"
-        " deadline; a trace outliving it is killed and re-dispatched",
+        help="for 'run-many': per-trace wall-clock deadline; a trace"
+        " outliving it is killed and re-dispatched",
     )
     parser.add_argument(
         "--max-retries",
@@ -827,14 +811,6 @@ def main(argv=None) -> int:
         " trace may consume after its first attempt (0 disables"
         " retries); an exhausted trace is quarantined or, under"
         " fail-fast, aborts the pool",
-    )
-    parser.add_argument(
-        "--partition",
-        choices=["off", "auto"],
-        default="off",
-        help="split the spec into alias-closed partitions and run them"
-        " concurrently per timestamp batch (outputs stay byte-identical"
-        " to the sequential engine)",
     )
     hardened = parser.add_argument_group("hardened runtime (for 'run')")
     hardened.add_argument(

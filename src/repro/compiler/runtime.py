@@ -176,8 +176,8 @@ class RunReport:
     def merge(self, other: "RunReport") -> "RunReport":
         """Fold another report's counters into this one.
 
-        Used by the parallel subsystem: per-partition and per-worker
-        reports are accumulated into one aggregate report.  All integer
+        Used by the parallel subsystem: per-trace reports from the
+        worker pool are accumulated into one aggregate report.  All integer
         counters are summed; ``plan_cache_hit`` treats ``None`` as "no
         cache consulted" (the other side's verdict wins) and conflicting
         verdicts as ``False`` (at least one miss); ``resumed_from`` is

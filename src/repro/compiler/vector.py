@@ -4,8 +4,9 @@ The paper's mutability analysis decides which stream variables can be
 updated in place; the same structural facts — scalar data types, no
 aggregate structures, no data-dependent clock feedback — are exactly the
 eligibility condition for columnar execution.  This module classifies
-each alias-closed stream family (the partitioner's union-find over
-usage edges and :class:`~repro.analysis.aliasing.AliasAnalysis`) as
+each alias-closed stream family (:mod:`repro.compiler.families`: a
+union-find over usage edges and
+:class:`~repro.analysis.aliasing.AliasAnalysis`) as
 *vector-eligible* and lowers the eligible part of the translation order
 to whole-column numpy kernels:
 
@@ -103,10 +104,11 @@ class VectorClassification:
     """Per-family vector eligibility for one flat specification.
 
     The stream-level pass (``reasons``, the placement order, the scan
-    triples) runs eagerly; the family verdicts need the partitioner and
-    are built on first access, so an ``auto`` compile whose outputs
-    already carry an ineligibility reason resolves to the plan engine
-    without partitioning.
+    triples) runs eagerly; the family verdicts need
+    :func:`~repro.compiler.families.partition_spec` and are built on
+    first access, so an ``auto`` compile whose outputs already carry an
+    ineligibility reason resolves to the plan engine without computing
+    the families.
     """
 
     flat: FlatSpec = field(repr=False, compare=False)
@@ -122,7 +124,7 @@ class VectorClassification:
 
     @cached_property
     def _families(self) -> Tuple[Tuple[FamilyVerdict, ...], FrozenSet[str]]:
-        from ..parallel.partition import partition_spec
+        from .families import partition_spec
 
         flat, reasons = self.flat, self.reasons
         verdicts: List[FamilyVerdict] = []
@@ -159,7 +161,7 @@ class VectorClassification:
 
     @property
     def verdicts(self) -> Tuple[FamilyVerdict, ...]:
-        """One verdict per alias-closed family (partition)."""
+        """One verdict per alias-closed family."""
         return self._families[0]
 
     @property
@@ -194,7 +196,7 @@ class VectorClassification:
         if not self.numpy_ok or self.error_mode:
             return "plan"
         # An ineligible output demotes its own family: plan, whatever
-        # the partitioner would say about the rest.
+        # the other families would say.
         if any(out in self.reasons for out in self.flat.outputs):
             return "plan"
         if not self.eligible:
@@ -363,9 +365,9 @@ def classify_vector(
 ) -> VectorClassification:
     """Classify every alias-closed family of *flat* as vector-eligible.
 
-    Purely syntactic over the typed flat spec (plus the partitioner's
-    alias-closed family structure, built on first use), so it is cheap
-    enough to run on every compile — including warm plan-cache hits —
+    Purely syntactic over the typed flat spec (plus the alias-closed
+    family structure of :mod:`.families`, built on first use), so it is
+    cheap enough to run on every compile — including warm plan-cache hits —
     for ``auto`` engine resolution.
     """
     defined = flat.definitions
@@ -433,7 +435,7 @@ def classify_vector(
             name, "recursive: in-batch feedback through last"
         )
 
-    # Family granularity (the alias-closed partitions, where an
+    # Family granularity (the alias-closed families, where an
     # ineligible member demotes its whole family to the scalar plan
     # path) is computed lazily by the classification itself.
     return VectorClassification(

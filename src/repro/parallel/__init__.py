@@ -1,50 +1,26 @@
-"""Parallel execution subsystem.
+"""Parallel execution subsystem: one spec over many traces.
 
-Two orthogonal axes of parallelism, both justified by the paper's
-static analysis:
+:class:`MonitorPool` (:mod:`repro.parallel.pool`) runs one compiled
+specification over many independent traces/sessions across a
+*supervised* pool of forked worker processes
+(:mod:`repro.parallel.supervisor`).  Workers warm-start from the
+on-disk plan cache (only the spec text and fingerprint-keyed cache
+files cross the process boundary) and are overseen with per-trace
+leases: heartbeats, deadlines, death/hang detection, automatic
+restarts, capped-exponential-backoff re-dispatch (:class:`RetryPolicy`)
+and poison-trace quarantine (:class:`FaultPlan` injects the whole
+failure matrix deterministically for tests).  Trace payloads reach the
+workers through a shared-memory arena (:mod:`repro.parallel.shm`) or
+the pickle-over-pipe transport.  In-flight traces are bounded
+(backpressure), results are collected exactly once in submission
+order, and exhausted traces degrade per the compiled spec's
+:class:`~repro.errors.ErrorPolicy`.  ``jobs <= 1`` (or a platform
+without ``fork``) runs the same retry/quarantine loop in-process.
 
-* **Intra-spec partition parallelism**
-  (:mod:`repro.parallel.partition`, :mod:`repro.parallel.partitioned`)
-  — the mutability/aliasing analysis (§IV-B, Defs. 4-6) tells us
-  exactly which streams may carry the same data structure at the same
-  timestamp.  Unioning the usage graph's dependency components with
-  the potential-alias classes yields *alias-closed, shared-nothing
-  partitions*: sub-specifications that never exchange an aggregate
-  reference and can therefore execute concurrently without violating
-  the in-place-update guarantee.  :class:`PartitionedRunner` compiles
-  each partition to its own monitor and drives them per timestamp
-  batch with a barrier at batch boundaries, merging outputs back into
-  the exact emission order of the single-process monitor.
-
-* **Multi-trace data parallelism** (:mod:`repro.parallel.pool`,
-  :mod:`repro.parallel.supervisor`) — one compiled specification over
-  many independent traces/sessions across a *supervised* worker pool.
-  The process backend forks workers warm-started from the on-disk plan
-  cache (only the spec text and fingerprint-keyed cache files cross
-  the process boundary) and oversees them with per-trace leases:
-  heartbeats, deadlines, death/hang detection, automatic restarts,
-  capped-exponential-backoff re-dispatch (:class:`RetryPolicy`) and
-  poison-trace quarantine (:class:`FaultPlan` injects the whole
-  failure matrix deterministically for tests).  In-flight batches are
-  bounded (backpressure), results are collected exactly once in
-  submission order, and exhausted traces degrade per the compiled
-  spec's :class:`~repro.errors.ErrorPolicy`.
-
-Both axes are reachable from :mod:`repro.api`
-(``RunOptions(partition="auto", jobs=N)`` and :func:`repro.api.run_many`)
-and from the CLI (``--partition auto --jobs N``).  See
-``docs/parallel.md`` for the partitioning model and the safety
-argument.
+Reachable from :func:`repro.api.run_many` and the CLI's ``run-many``
+subcommand (``--jobs N``).  See ``docs/parallel.md``.
 """
 
-from .partition import (
-    Partition,
-    PartitionError,
-    PartitionPlan,
-    partition_flatspec,
-    partition_spec,
-)
-from .partitioned import PartitionedRunner
 from .pool import MonitorPool, PoolError, PoolResult, TraceResult
 from .shm import ArenaDescriptor, TraceArena
 from .supervisor import (
@@ -60,10 +36,6 @@ __all__ = [
     "ArenaDescriptor",
     "AttemptRecord",
     "FaultPlan",
-    "Partition",
-    "PartitionError",
-    "PartitionPlan",
-    "PartitionedRunner",
     "MonitorPool",
     "PoisonTraceError",
     "PoolError",
@@ -73,6 +45,4 @@ __all__ = [
     "SupervisorStats",
     "TraceArena",
     "TraceResult",
-    "partition_flatspec",
-    "partition_spec",
 ]

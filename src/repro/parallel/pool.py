@@ -1,24 +1,15 @@
 """Multi-trace data parallelism: one spec, many traces, many workers.
 
 :class:`MonitorPool` runs one compiled specification over many
-independent traces (sessions, log shards, tenants) across a worker
-pool with a selectable backend:
+independent traces (sessions, log shards, tenants) across forked
+worker processes overseen by the
+:class:`~repro.parallel.supervisor.Supervisor`: per-trace leases with
+heartbeats and deadlines, worker death/hang detection, automatic
+restarts, capped-exponential-backoff re-dispatch
+(:class:`~repro.parallel.supervisor.RetryPolicy`) and poison-trace
+quarantine.
 
-* ``backend="process"`` (default) — forked worker processes overseen
-  by the :class:`~repro.parallel.supervisor.Supervisor`: per-trace
-  leases with heartbeats and deadlines, worker death/hang detection,
-  automatic restarts, capped-exponential-backoff re-dispatch
-  (:class:`~repro.parallel.supervisor.RetryPolicy`) and poison-trace
-  quarantine.  The only backend that scales pure-Python engines past
-  the GIL.
-* ``backend="thread"`` — an in-process thread pool.  No processes to
-  babysit, so supervision degrades gracefully: retries and quarantine
-  still apply (a task exception is a failed attempt), but kill/hang
-  detection is moot — a thread cannot be SIGKILLed and a hung thread
-  would hang the process anyway.  Useful where ``fork`` is unavailable
-  or engines release the GIL.
-
-Shared semantics, regardless of backend:
+Semantics:
 
 * **Warm-start compilation** — when the pool is built from
   specification text plus :class:`~repro.api.CompileOptions` carrying
@@ -44,9 +35,9 @@ Shared semantics, regardless of backend:
   :class:`TraceResult` and keep the pool draining — the pool-level
   analogue of the hardened runtime's per-event policies.
 
-``jobs <= 1``, or ``backend="process"`` on a platform without
-``fork``, falls back to an in-process sequential loop — no pool
-spin-up, identical results, same retry/quarantine semantics.
+``jobs <= 1``, or a platform without ``fork``, falls back to an
+in-process sequential loop — no pool spin-up, identical results, same
+retry/quarantine semantics.
 """
 
 from __future__ import annotations
@@ -84,13 +75,12 @@ from .supervisor import (
 Event = Tuple[int, str, Any]
 OutputEvent = Tuple[str, int, Any]
 
-BACKENDS = ("process", "thread")
 #: How trace payloads reach process workers: ``"shm"`` — packed once
 #: into parent-owned shared-memory segments, descriptor-only dispatch
 #: (see :mod:`repro.parallel.shm`); ``"pipe"`` — pickled event lists
 #: per attempt (the pre-arena behavior); ``"auto"`` — shm whenever the
-#: platform supports it.  Thread/sequential execution has no process
-#: boundary and always runs inline.
+#: platform supports it.  Sequential execution has no process boundary
+#: and always runs inline.
 TRANSPORTS = ("auto", "shm", "pipe")
 
 
@@ -130,16 +120,16 @@ class PoolResult:
     #: pool-level ``retries`` / ``worker_restarts`` /
     #: ``traces_quarantined`` counters.
     report: RunReport
-    #: Worker processes/threads actually used (1 — sequential fallback).
+    #: Worker processes actually used (1 — sequential fallback).
     workers: int
     failures: int = 0
-    #: Which backend actually ran ("process", "thread", "sequential").
+    #: Which path actually ran ("process" or "sequential").
     backend: str = "sequential"
     #: Submission indexes of quarantined (poison) traces.
     quarantined: List[int] = field(default_factory=list)
     #: How trace payloads reached the workers: ``"shm"``/``"pipe"`` on
-    #: the process backend, ``"inline"`` when no process boundary was
-    #: crossed (thread backend, sequential fallback).
+    #: the process pool, ``"inline"`` when no process boundary was
+    #: crossed (sequential fallback).
     transport: str = "inline"
 
     def outputs(self) -> List[List[OutputEvent]]:
@@ -292,7 +282,7 @@ def _attempt_trace(
     retry: RetryPolicy,
     worker: str,
 ) -> TraceResult:
-    """Run one trace with the in-process retry loop (thread/sequential).
+    """Run one trace with the in-process retry loop (sequential path).
 
     Never raises: exhaustion produces a quarantined
     :class:`TraceResult`; the caller decides (per error policy) whether
@@ -342,23 +332,20 @@ class MonitorPool:
         Worker count.  ``<= 1`` runs sequentially in-process.
     max_in_flight:
         Bound on outstanding traces (default ``2 * jobs``).
-    backend:
-        ``"process"`` (supervised fork workers, the default) or
-        ``"thread"``.
     retry:
         The :class:`~repro.parallel.supervisor.RetryPolicy` applied to
-        every trace on every backend (default: 3 attempts, 50 ms base
-        backoff).
+        every trace, pooled or sequential (default: 3 attempts, 50 ms
+        base backoff).
     trace_timeout:
-        Per-trace wall-clock deadline in seconds (process backend
+        Per-trace wall-clock deadline in seconds (worker processes
         only); a lease outliving it is killed and re-dispatched.
     heartbeat_interval / heartbeat_timeout:
         Worker heartbeat cadence and the silence threshold after which
-        a worker is declared hung (process backend only;
+        a worker is declared hung (worker processes only;
         ``heartbeat_timeout`` defaults to ``max(1.0, 10 * interval)``).
     fault_plan:
         A :class:`~repro.parallel.supervisor.FaultPlan` for
-        deterministic chaos injection (process backend only).
+        deterministic chaos injection (worker processes only).
     transport:
         How trace payloads reach process workers: ``"auto"`` (the
         default — shared memory whenever the platform supports it),
@@ -373,7 +360,6 @@ class MonitorPool:
         compile_options: Any = None,
         jobs: int = 2,
         max_in_flight: Optional[int] = None,
-        backend: str = "process",
         retry: Optional[RetryPolicy] = None,
         trace_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.1,
@@ -381,10 +367,6 @@ class MonitorPool:
         fault_plan: Optional[FaultPlan] = None,
         transport: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         if transport not in TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {TRANSPORTS}, got {transport!r}"
@@ -395,7 +377,6 @@ class MonitorPool:
             if max_in_flight is not None
             else 2 * self.jobs
         )
-        self.backend = backend
         self.transport = transport
         self.retry = retry if retry is not None else RetryPolicy()
         self.trace_timeout = trace_timeout
@@ -462,8 +443,6 @@ class MonitorPool:
             collect_outputs=collect_outputs,
             metrics=metrics,
         )
-        if self.backend == "thread" and self.jobs > 1:
-            return self._run_threaded(traces, run_options, on_result)
         if self.jobs <= 1 or not self._fork_available():
             return self._run_sequential(traces, run_options, on_result)
         return self._run_supervised(traces, run_options, on_result)
@@ -561,67 +540,13 @@ class MonitorPool:
             results.append(result)
         return self._finalize(results, 1, "sequential", stats)
 
-    def _run_threaded(
-        self,
-        traces: Iterable[Sequence[Event]],
-        run_options: _WorkerRunOptions,
-        on_result: Optional[Callable[[TraceResult], None]],
-    ) -> PoolResult:
-        """Thread backend: shared-memory workers, graceful supervision.
-
-        Threads cannot be killed, so crash/hang detection does not
-        apply; retries and quarantine work exactly as on the process
-        backend (a task exception is a failed attempt).  Ordered
-        delivery falls out of draining futures in submission order.
-        """
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-
-        compiled = self._local_compiled()
-        fail_fast = self._fail_fast()
-        stats = SupervisorStats()
-        results: List[TraceResult] = []
-
-        def task(index: int, events: Sequence[Event]) -> TraceResult:
-            import threading
-
-            return _attempt_trace(
-                compiled,
-                index,
-                events,
-                run_options,
-                self.retry,
-                threading.current_thread().name,
-            )
-
-        with ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="pool"
-        ) as executor:
-            stats.workers_started = self.jobs
-            in_flight: deque = deque()
-
-            def drain_one() -> None:
-                result = in_flight.popleft().result()
-                self._keep_or_abort(result, fail_fast, stats)
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-
-            for index, events in enumerate(traces):
-                while len(in_flight) >= self.max_in_flight:
-                    drain_one()  # backpressure
-                in_flight.append(executor.submit(task, index, list(events)))
-            while in_flight:
-                drain_one()
-        return self._finalize(results, self.jobs, "thread", stats)
-
     def _run_supervised(
         self,
         traces: Iterable[Sequence[Event]],
         run_options: _WorkerRunOptions,
         on_result: Optional[Callable[[TraceResult], None]],
     ) -> PoolResult:
-        """Process backend: forked workers under the Supervisor."""
+        """Forked workers under the Supervisor."""
         transport = self._resolve_transport()
         # The arena's encoding follows the engine the workers run:
         # resolved once per run, by the local compile (a warm
@@ -655,7 +580,6 @@ def run_many(
     compile_options: Any = None,
     jobs: int = 2,
     max_in_flight: Optional[int] = None,
-    backend: str = "process",
     retry: Optional[RetryPolicy] = None,
     trace_timeout: Optional[float] = None,
     heartbeat_interval: float = 0.1,
@@ -670,7 +594,6 @@ def run_many(
         compile_options=compile_options,
         jobs=jobs,
         max_in_flight=max_in_flight,
-        backend=backend,
         retry=retry,
         trace_timeout=trace_timeout,
         heartbeat_interval=heartbeat_interval,
@@ -682,7 +605,6 @@ def run_many(
 
 
 __all__ = [
-    "BACKENDS",
     "TRANSPORTS",
     "FaultPlan",
     "MonitorPool",

@@ -1,6 +1,6 @@
 """Zero-copy shared-memory trace transport for the supervised pool.
 
-The process-backend :class:`~repro.parallel.pool.MonitorPool` used to
+The supervised :class:`~repro.parallel.pool.MonitorPool` used to
 pickle every trace's full event list over a worker pipe — once per
 dispatch *and once per retry*.  That is exactly the copy discipline the
 paper's mutability analysis eliminates inside a monitor, violated at

@@ -1,7 +1,7 @@
 """Supervised fault-tolerant process workers for the multi-trace pool.
 
-The thread pool cannot beat the GIL (every engine is pure-Python
-bytecode), so scaling the multi-trace :class:`~repro.parallel.pool.MonitorPool`
+Threads cannot beat the GIL (every engine is pure-Python bytecode),
+so scaling the multi-trace :class:`~repro.parallel.pool.MonitorPool`
 means moving workers into separate *processes* — and separate processes
 introduce real distributed-systems failure modes: a worker can be
 killed (-9, OOM), hang (a pathological trace, a deadlocked lift), or
@@ -211,7 +211,7 @@ class AttemptRecord:
 
 @dataclass
 class SupervisorStats:
-    """Everything abnormal one pool run absorbed (all backends)."""
+    """Everything abnormal one pool run absorbed (pooled or sequential)."""
 
     retries: int = 0
     worker_restarts: int = 0

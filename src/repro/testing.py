@@ -353,7 +353,7 @@ def crash_and_resume(
 
 # -- worker-pool fault injection ----------------------------------------------
 #
-# The process-backend MonitorPool is supervised (heartbeats, retries,
+# The MonitorPool's worker processes are supervised (heartbeats, retries,
 # quarantine — see repro.parallel.supervisor); these constructors build
 # the deterministic FaultPlans its tests and chaos CI run under.  They
 # re-export the plan type from the supervisor so test code needs only
@@ -424,7 +424,6 @@ def chaos_pool_run(
         spec,
         compile_options=compile_options,
         jobs=jobs,
-        backend="process",
         transport=transport,
         retry=RetryPolicy(
             max_attempts=max_attempts, base_delay=0.01, max_delay=0.05

@@ -1,8 +1,8 @@
 """RunReport.merge as a fold: commutative-ish, and above all associative.
 
-The parallel subsystem folds per-partition and per-worker reports in
-whatever order they complete, so ``(a + b) + c`` and ``a + (b + c)``
-must agree on every field — including the awkward non-counter ones:
+The worker pool folds per-trace reports in whatever order they
+complete, so ``(a + b) + c`` and ``a + (b + c)`` must agree on every
+field — including the awkward non-counter ones:
 ``plan_cache_hit`` (tri-state) and ``resumed_from`` (string identity,
 with ambiguity latched in ``resume_conflict``).
 """

@@ -177,12 +177,12 @@ class TestLazyFamilies:
     def test_scalar_output_resolves_plan_without_partitioning(
         self, monkeypatch
     ):
-        import repro.parallel.partition as partition
+        import repro.compiler.families as families
 
         def refuse(*args, **kwargs):
             raise AssertionError("partition_spec called")
 
-        monkeypatch.setattr(partition, "partition_spec", refuse)
+        monkeypatch.setattr(families, "partition_spec", refuse)
         assert api.compile(seen_set()).engine_resolved == "plan"
 
     @pytest.mark.parametrize("spec", [seen_set(), MIXED_FAMILIES])

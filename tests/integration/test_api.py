@@ -149,6 +149,9 @@ class TestRemovedSurface:
             ("repro.compiler", "make_interpreted_class"),
             ("repro.compiler.runtime", "HardenedRunner"),
             ("repro.lang.prune", "prune"),
+            ("repro.parallel", "PartitionedRunner"),
+            ("repro.parallel", "partition_flatspec"),
+            ("repro.parallel", "partition_spec"),
         ],
     )
     def test_name_removed(self, module, name):
@@ -180,6 +183,42 @@ class TestRemovedSurface:
             build_compiled_spec(seen_set(), prune_dead=True)
         with pytest.raises(TypeError):
             text_fingerprint("in i: Int\nout i\n", prune_dead=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"partition": "auto"}, {"pool_backend": "thread"}],
+        ids=["partition", "pool_backend"],
+    )
+    def test_parallel_run_options_removed(self, kwargs):
+        with pytest.raises(TypeError):
+            api.RunOptions(**kwargs)
+
+    def test_pool_backend_parameter_removed(self):
+        from repro.parallel.pool import MonitorPool, run_many
+
+        text = "in i: Int\ndef d := add(i, i)\nout d\n"
+        with pytest.raises(TypeError):
+            MonitorPool(text, jobs=2, backend="thread")
+        with pytest.raises(TypeError):
+            run_many(text, [[(1, "i", 1)]], jobs=1, backend="thread")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--trace", "t.csv", "--partition", "auto"],
+            ["run-many", "--traces", "t.csv", "--pool-backend", "thread"],
+        ],
+        ids=["partition", "pool-backend"],
+    )
+    def test_parallel_cli_flags_removed(self, tmp_path, argv, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "s.tessla"
+        spec.write_text("in i: Int\ndef d := add(i, i)\nout d\n")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(spec), *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOptionRoundtrips:

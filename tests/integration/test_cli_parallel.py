@@ -1,7 +1,7 @@
 """CLI exit codes for the parallel execution paths.
 
-A worker crash under ``--partition auto --jobs N`` must surface as a
-nonzero exit with a single diagnostic line on stderr — never a raw
+A worker failure under ``run-many --jobs N`` must surface as a nonzero
+exit with a single diagnostic line on stderr — never a raw
 traceback, and never a silent success.  These tests drive
 ``repro.cli.main`` in-process so the return code and the exact stderr
 shape are asserted, not just eyeballed.
@@ -46,12 +46,11 @@ def write_trace(tmp_path, lines):
     return str(path)
 
 
-class TestPartitionedRun:
+class TestParallelExitCodes:
     def test_clean_run_exits_zero(self, tmp_path, spec_path, capsys):
         trace = write_trace(tmp_path, ["1,a_i,3", "2,b_i,4", "3,a_i,5"])
         rc = main(
-            ["run", spec_path, "--trace", trace, "--partition", "auto",
-             "--jobs", "2"]
+            ["run-many", spec_path, "--traces", trace, trace, "--jobs", "2"]
         )
         captured = capsys.readouterr()
         assert rc == 0
@@ -61,12 +60,12 @@ class TestPartitionedRun:
     def test_crashing_lift_fails_fast_with_one_line(
         self, tmp_path, spec_path, capsys
     ):
-        # a_i == 0 makes a_div raise inside a partition worker; the
+        # a_i == 0 makes a_div raise inside a pool worker; the
         # fail-fast policy must abort the whole run.
         trace = write_trace(tmp_path, ["1,a_i,3", "2,b_i,4", "3,a_i,0"])
         rc = main(
-            ["run", spec_path, "--trace", trace, "--partition", "auto",
-             "--jobs", "2"]
+            ["run-many", spec_path, "--traces", trace, "--jobs", "2",
+             "--max-retries", "0"]
         )
         captured = capsys.readouterr()
         assert rc == 1
@@ -85,11 +84,10 @@ class TestPartitionedRun:
         def explode(*args, **kwargs):
             raise PoolError("trace 2 failed: worker died")
 
-        monkeypatch.setattr(cli_mod.api, "run", explode)
+        monkeypatch.setattr(cli_mod.api, "run_many", explode)
         trace = write_trace(tmp_path, ["1,a_i,3"])
         rc = main(
-            ["run", spec_path, "--trace", trace, "--partition", "auto",
-             "--jobs", "2"]
+            ["run-many", spec_path, "--traces", trace, "--jobs", "2"]
         )
         captured = capsys.readouterr()
         assert rc == 1
@@ -105,9 +103,7 @@ class TestPartitionedRun:
 
         monkeypatch.setattr(cli_mod.api, "run", explode)
         trace = write_trace(tmp_path, ["1,a_i,3"])
-        rc = main(
-            ["profile", spec_path, "--trace", trace, "--jobs", "2"]
-        )
+        rc = main(["profile", spec_path, "--trace", trace])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == "error: worker lost\n"

@@ -107,24 +107,15 @@ class TestRunMany:
             "2,2,s,True",
         ]
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_backends_produce_identical_output(
-        self, tmp_path, seen_spec, capsys, backend
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_pool_matches_sequential_output(
+        self, tmp_path, seen_spec, capsys, jobs
     ):
         traces = write_traces(
             tmp_path, "i", [[(t, t % 3) for t in range(1, 8)]] * 3
         )
         rc = main(
-            [
-                "run-many",
-                seen_spec,
-                "--traces",
-                *traces,
-                "--jobs",
-                "2",
-                "--pool-backend",
-                backend,
-            ]
+            ["run-many", seen_spec, "--traces", *traces, "--jobs", jobs]
         )
         pooled = capsys.readouterr().out
         assert rc == 0

@@ -1,9 +1,8 @@
-"""Metrics plumbing through the api facade and the parallel subsystem."""
+"""Metrics plumbing through the api facade and the worker pool."""
 
 import pytest
 
 from repro import api
-from repro.compiler.monitor import freeze
 from repro.compiler.plancache import PlanCache
 from repro.lang.compose import compose, rename, substitute_inputs
 from repro.obs.export import to_prometheus
@@ -15,19 +14,8 @@ def seen_set_events(length=60, domain=8, stream="i"):
     return [(t, stream, t % domain) for t in range(1, length + 1)]
 
 
-def collect(monitor, events, options=None):
-    out = []
-    api.run(
-        monitor,
-        events,
-        options,
-        on_output=lambda n, t, v: out.append((n, t, freeze(v))),
-    )
-    return out
-
-
 def composed_two_families():
-    """Two disjoint seen-set families: a genuinely partitionable spec."""
+    """Two disjoint seen-set families composed into one spec."""
     left = substitute_inputs(rename(seen_set(), "a_"), {"i": "a_i"})
     right = substitute_inputs(rename(seen_set(), "b_"), {"i": "b_i"})
     return compose(left, right)
@@ -84,42 +72,19 @@ class TestPlanCacheCounters:
         assert DEFAULT_REGISTRY.snapshot()["counters"] == before
 
 
-class TestPartitionedMetrics:
-    def test_partitioned_run_merges_stream_stats(self):
+class TestComposedMetrics:
+    def test_two_family_run_counts_each_stream(self):
         spec = composed_two_families()
         events = seen_set_events(40, stream="a_i") + [
             (t, "b_i", t % 5) for t in range(1, 41)
         ]
         events.sort(key=lambda e: e[0])
         monitor = api.compile(spec)
-        report = api.run(
-            monitor,
-            events,
-            api.RunOptions(partition="auto", jobs=2, metrics=True),
-        )
+        report = api.run(monitor, events, api.RunOptions(metrics=True))
         streams = report.metrics["streams"]
         assert streams["a_seen"]["inplace_updates"] == 40
         assert streams["b_seen"]["inplace_updates"] == 40
         assert streams["a_seen"]["copies_performed"] == 0
-
-    def test_partitioned_outputs_unchanged_by_metrics(self):
-        spec = composed_two_families()
-        events = sorted(
-            seen_set_events(30, stream="a_i")
-            + seen_set_events(30, stream="b_i"),
-            key=lambda e: e[0],
-        )
-        plain = collect(
-            api.compile(spec),
-            events,
-            api.RunOptions(partition="auto", jobs=2),
-        )
-        instrumented = collect(
-            api.compile(spec),
-            events,
-            api.RunOptions(partition="auto", jobs=2, metrics=True),
-        )
-        assert instrumented == plain
 
 
 class TestPoolMetrics:

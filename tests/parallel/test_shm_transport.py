@@ -270,9 +270,7 @@ class TestEquivalence:
         before = shm_entries()
         results = {}
         for transport in ("pipe", "shm"):
-            pool = MonitorPool(
-                spec, jobs=2, backend="process", transport=transport
-            )
+            pool = MonitorPool(spec, jobs=2, transport=transport)
             result = pool.run_many(traces)
             assert result.transport == transport
             assert result.failures == 0
@@ -290,25 +288,18 @@ class TestEquivalence:
         # must still match.
         traces = make_traces(4)
         pipe = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="process", transport="pipe"
+            SEEN_SET_TEXT, jobs=2, transport="pipe"
         ).run_many(traces, validate_inputs=True)
         shm = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="process", transport="shm"
+            SEEN_SET_TEXT, jobs=2, transport="shm"
         ).run_many(traces, validate_inputs=True)
         assert shm.outputs() == pipe.outputs()
         assert shm.failures == pipe.failures == 0
 
     def test_auto_resolves_to_shm_when_available(self):
-        pool = MonitorPool(SEEN_SET_TEXT, jobs=2, backend="process")
+        pool = MonitorPool(SEEN_SET_TEXT, jobs=2)
         result = pool.run_many(make_traces(2))
         assert result.transport == "shm"
-
-    def test_thread_backend_is_inline(self):
-        pool = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="thread", transport="shm"
-        )
-        result = pool.run_many(make_traces(2))
-        assert result.transport == "inline"
 
     def test_invalid_transport_rejected(self):
         with pytest.raises(ValueError):
@@ -371,7 +362,7 @@ class TestEncodingChoice:
         shared = pool_bytes(POOL_BYTES_SHARED)
         pickled = pool_bytes(POOL_BYTES_PICKLED)
         result = MonitorPool(
-            TWO_STREAM_TEXT, jobs=2, backend="process", transport="shm"
+            TWO_STREAM_TEXT, jobs=2, transport="shm"
         ).run_many(traces)
         assert result.failures == 0
         assert packed_kinds == ["pickle"] * len(traces)
@@ -391,7 +382,6 @@ class TestEncodingChoice:
             VECTOR_TEXT,
             compile_options=options,
             jobs=2,
-            backend="process",
             transport="shm",
         ).run_many(traces)
         assert packed_kinds == ["pickle"] * len(traces)
@@ -410,7 +400,7 @@ class TestEncodingChoice:
         serial = MonitorPool(VECTOR_TEXT, jobs=1).run_many(traces)
         shared = pool_bytes(POOL_BYTES_SHARED)
         result = MonitorPool(
-            VECTOR_TEXT, jobs=2, backend="process", transport="shm"
+            VECTOR_TEXT, jobs=2, transport="shm"
         ).run_many(traces)
         assert result.failures == 0
         assert packed_kinds == ["columnar"] * len(traces)
@@ -425,7 +415,7 @@ class TestEncodingChoice:
         outputs = {}
         for transport in ("pipe", "shm"):
             result = MonitorPool(
-                TWO_STREAM_TEXT, jobs=2, backend="process", transport=transport
+                TWO_STREAM_TEXT, jobs=2, transport=transport
             ).run_many(traces)
             assert result.transport == transport
             assert result.failures == 0

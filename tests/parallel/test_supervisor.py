@@ -300,39 +300,32 @@ class TestObservability:
         assert as_dict["traces_quarantined"] == 0
 
 
-class TestThreadBackend:
-    def test_thread_backend_matches_sequential(self):
-        traces = make_traces(6)
-        baseline = serial_baseline(traces)
-        pool = MonitorPool(SEEN_SET_TEXT, jobs=3, backend="thread")
-        result = pool.run_many(traces)
-        assert result.backend == "thread"
-        assert result.outputs() == baseline.outputs()
-        assert [r.index for r in result.results] == list(range(6))
+class TestSequentialRetryLoop:
+    """``jobs=1`` runs the in-process retry loop: same retry,
+    quarantine and fail-fast semantics as the supervised pool."""
 
-    def test_thread_backend_quarantines_bad_trace(self):
+    def test_sequential_quarantines_bad_trace(self):
         options = api.CompileOptions(error_policy="propagate")
         pool = MonitorPool(
             SEEN_SET_TEXT,
             compile_options=options,
-            jobs=2,
-            backend="thread",
+            jobs=1,
             retry=RetryPolicy(max_attempts=2, base_delay=0.001),
         )
         bad = [(5, "i", 1), (2, "i", 2)]  # out of order -> MonitorError
         traces = make_traces(2) + [bad]
         result = pool.run_many(traces)
+        assert result.backend == "sequential"
         assert result.failures == 1
         assert result.quarantined == [2]
         assert "MonitorError" in result.results[2].error
         assert len(result.results[2].attempts) == 2
         assert result.report.retries >= 1
 
-    def test_thread_backend_fail_fast_carries_attempt_history(self):
+    def test_sequential_fail_fast_carries_attempt_history(self):
         pool = MonitorPool(
             SEEN_SET_TEXT,
-            jobs=2,
-            backend="thread",
+            jobs=1,
             retry=RetryPolicy(max_attempts=2, base_delay=0.001),
         )
         bad = [(5, "i", 1), (2, "i", 2)]
@@ -342,28 +335,22 @@ class TestThreadBackend:
         assert len(excinfo.value.attempts) == 2
         assert "MonitorError" in str(excinfo.value)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            MonitorPool(SEEN_SET_TEXT, backend="fiber")
-
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_backends_agree_with_api_run_many(self, backend):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_process_pool_agrees_with_sequential(self, jobs):
         monitor = api.compile(SEEN_SET_TEXT)
         traces = make_traces(5)
         seq = api.run_many(monitor, traces, api.RunOptions(jobs=1))
-        par = api.run_many(
-            monitor,
-            traces,
-            api.RunOptions(jobs=2, pool_backend=backend),
-        )
+        par = api.run_many(monitor, traces, api.RunOptions(jobs=jobs))
+        assert seq.backend == "sequential"
+        assert par.backend == "process"
         assert par.outputs() == seq.outputs()
         assert par.report.events_in == seq.report.events_in
 
     def test_run_options_validation(self):
         with pytest.raises(ValueError):
-            api.RunOptions(pool_backend="fiber")
+            api.RunOptions(jobs=0)
         with pytest.raises(ValueError):
             api.RunOptions(trace_timeout=0)
         with pytest.raises(ValueError):
