@@ -16,6 +16,14 @@ synthetic traces, which is the workload shape the vector engine exists
 for.  The ≥10x gate applies to the columnar-ingestion headline and is
 enforced only when numpy is importable (``threshold_enforced``).
 
+The gate's baseline is the plan engine, but ``engine="auto"`` resolves
+scalar specs to ``codegen``, not ``plan``.  So the Fig. 9 section and
+``seen_set_fallback`` also report ``codegen_feed_batch`` rates and the
+``vector ÷ codegen`` ratios, ungated: they show what the vector engine
+gains over the engine ``auto`` would otherwise pick, and what the Seen
+Set loses by running under ``engine="vector"`` (its fallback runs plan
+ops) instead of ``auto``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_vector.py [--out BENCH_vector.json]
@@ -72,8 +80,9 @@ def _best(fn, repeats=REPEATS):
     return best
 
 
-def measure_pair(spec_text, length):
-    """plan feed_batch vs vector feed_batch / feed_columns, run-only."""
+def measure_pair(spec_text, length, with_codegen=False):
+    """plan feed_batch vs vector feed_batch / feed_columns, run-only;
+    *with_codegen* adds the ungated codegen feed_batch comparison."""
     rows, ts_column, value_column = _trace(length)
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
@@ -82,6 +91,8 @@ def measure_pair(spec_text, length):
     assert vector.engine_resolved == "vector"
 
     columns = {"i": value_column}
+    if with_codegen:
+        codegen = api.compile(spec_text, api.CompileOptions(engine="codegen"))
     timings = {
         "plan_feed_batch": _best(
             lambda: api.run(plan, rows, run_opts, on_output=sink)
@@ -93,6 +104,10 @@ def measure_pair(spec_text, length):
             lambda: vector.feed_columns(ts_column, columns, on_output=sink)
         ),
     }
+    if with_codegen:
+        timings["codegen_feed_batch"] = _best(
+            lambda: api.run(codegen, rows, run_opts, on_output=sink)
+        )
     result = {
         "events": length,
         "events_per_sec": {
@@ -106,6 +121,13 @@ def measure_pair(spec_text, length):
             timings["plan_feed_batch"] / timings["vector_feed_columns"], 2
         ),
     }
+    if with_codegen:
+        result["vector_over_codegen_feed_batch"] = round(
+            timings["codegen_feed_batch"] / timings["vector_feed_batch"], 2
+        )
+        result["vector_over_codegen_feed_columns"] = round(
+            timings["codegen_feed_batch"] / timings["vector_feed_columns"], 2
+        )
     return result
 
 
@@ -123,15 +145,19 @@ def measure_seen_set_fallback(length=10_000):
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
     plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
     vector = api.compile(seen_set(), api.CompileOptions(engine="vector"))
+    codegen = api.compile(seen_set(), api.CompileOptions(engine="codegen"))
     fallback = [d.code for d in vector.diagnostics()]
     plan_s = _best(lambda: api.run(plan, rows, run_opts, on_output=sink), 3)
     vec_s = _best(lambda: api.run(vector, rows, run_opts, on_output=sink), 3)
+    gen_s = _best(lambda: api.run(codegen, rows, run_opts, on_output=sink), 3)
     return {
         "events": length,
         "diagnostics": fallback,
         "plan_events_per_sec": round(length / plan_s),
         "vector_events_per_sec": round(length / vec_s),
+        "codegen_events_per_sec": round(length / gen_s),
         "speedup": round(plan_s / vec_s, 2),
+        "vector_over_codegen": round(gen_s / vec_s, 2),
         "note": "set-typed family is vector-ineligible; the vector"
         " engine takes the certified plan fallback, so ~1.0x here"
         " is correct behavior, not a regression",
@@ -182,7 +208,7 @@ def main(argv=None):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        fig9 = measure_pair(SCALAR_ALERT_TEXT, FIG9_EVENTS)
+        fig9 = measure_pair(SCALAR_ALERT_TEXT, FIG9_EVENTS, with_codegen=True)
         fig10 = {
             str(length): measure_pair(SCALAR_ALERT_TEXT, length)
             for length in FIG10_LENGTHS

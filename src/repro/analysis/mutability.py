@@ -300,7 +300,7 @@ class MutabilityAnalysis:
         active = [
             c for c in constraints if uf.find(c.written) not in persistent_roots
         ]
-        chosen_roots, used_exact = self._min_weight_removal(uf, active)
+        chosen_roots, used_exact, order = self._min_weight_removal(uf, active)
         for root in sorted(chosen_roots):
             dropped = tuple(c for c in active if uf.find(c.written) == root)
             force_persistent(root, OrderingConflict(uf.family(root), dropped))
@@ -312,10 +312,6 @@ class MutabilityAnalysis:
             n for n in self.complex_nodes if uf.find(n) in persistent_roots
         )
         mutable_nodes = frozenset(self.complex_nodes - persistent_nodes)
-        with TRACER.span("compile.translation_order"):
-            order = translation_order(
-                self.graph, extra=[c.edge for c in final_constraints]
-            )
         return MutabilityResult(
             graph=self.graph,
             mutable=mutable_nodes,
@@ -337,22 +333,30 @@ class MutabilityAnalysis:
 
     # -- step 4 core: minimum-weight constraint-family removal ------------
 
-    def _acyclic_with(
+    def _order_with(
         self, constraints: Sequence[ReadBeforeWrite]
-    ) -> bool:
-        try:
-            translation_order(self.graph, extra=[c.edge for c in constraints])
-            return True
-        except Exception:
-            return False
+    ) -> Optional[List[str]]:
+        """The translation order honouring *constraints*, or ``None``
+        when they close a cycle."""
+        from ..obs.trace import TRACER
+
+        with TRACER.span("compile.translation_order"):
+            try:
+                return translation_order(
+                    self.graph, extra=[c.edge for c in constraints]
+                )
+            except Exception:
+                return None
 
     def _min_weight_removal(
         self, uf: UnionFind, active: List[ReadBeforeWrite]
-    ) -> Tuple[Set[str], bool]:
+    ) -> Tuple[Set[str], bool, List[str]]:
         """Choose the cheapest set of family roots whose constraints to
-        drop (turning those families persistent) so ordering succeeds."""
-        if self._acyclic_with(active):
-            return set(), True
+        drop (turning those families persistent) so ordering succeeds;
+        returns it with the translation order the rest allows."""
+        order = self._order_with(active)
+        if order is not None:
+            return set(), True, order
         roots = sorted({uf.find(c.written) for c in active})
         weights = {root: len(uf.family(root)) for root in roots}
 
@@ -369,8 +373,9 @@ class MutabilityAnalysis:
             options.sort()
             for _weight, _size, combo in options:
                 removed = set(combo)
-                if self._acyclic_with(remaining(removed)):
-                    return removed, True
+                order = self._order_with(remaining(removed))
+                if order is not None:
+                    return removed, True, order
             raise AssertionError(  # pragma: no cover
                 "removing all constraint families must yield a valid order"
             )
@@ -379,9 +384,12 @@ class MutabilityAnalysis:
         removed: Set[str] = set()
         for root in sorted(roots, key=lambda r: (weights[r], r)):
             removed.add(root)
-            if self._acyclic_with(remaining(removed)):
-                return removed, False
-        return set(roots), False  # pragma: no cover
+            order = self._order_with(remaining(removed))
+            if order is not None:
+                return removed, False, order
+        raise AssertionError(  # pragma: no cover
+            "removing all constraint families must yield a valid order"
+        )
 
 
 def analyze_mutability(

@@ -4,7 +4,7 @@ Two calls and two frozen option dataclasses cover the whole option
 space:
 
 >>> from repro import api
->>> monitor = api.compile(source, api.CompileOptions(engine="plan"))
+>>> monitor = api.compile(source, api.CompileOptions(plan_cache="plans"))
 >>> report = api.run(monitor, events, api.RunOptions(batch_size=4096))
 
 * :class:`CompileOptions` — everything that shapes the compiled
@@ -81,7 +81,7 @@ class CompileOptions:
     #: Execution engine: ``"auto"`` (the default — resolve per spec:
     #: the columnar :mod:`vector <repro.compiler.vector>` engine when
     #: every output-reachable stream family is vector-eligible and
-    #: numpy is importable, else ``"plan"``), or one of the explicit
+    #: numpy is importable, else ``"codegen"``), or one of the explicit
     #: engines ``"codegen"``, ``"plan"`` (no ``exec``), ``"vector"``.
     #: The resolved engine is observable as
     #: :attr:`Monitor.engine_resolved`; per-family fallbacks surface as
@@ -274,7 +274,7 @@ class Monitor:
 
         With ``engine="auto"`` this is ``"vector"`` when every
         output-reachable stream family passed the vector-eligibility
-        classification (and numpy is importable), else ``"plan"``.
+        classification (and numpy is importable), else ``"codegen"``.
         The resolved engine — not the ``"auto"`` request — is what
         enters :attr:`fingerprint`.
         """

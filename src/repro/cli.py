@@ -52,7 +52,7 @@ reproducing the uninterrupted run's output file exactly,
 
 ``--engine`` selects the execution engine (``auto`` — the default,
 resolving to the columnar ``vector`` engine when the whole spec is
-vector-eligible and numpy is present, else ``plan`` — or explicitly
+vector-eligible and numpy is present, else ``codegen`` — or explicitly
 ``codegen``, ``plan``, ``vector``; ``emit`` defaults to ``codegen``
 since it prints generated source, and the engine-independent commands
 reject it), ``--batch-size`` drives the monitor's batch hot path in
@@ -750,11 +750,12 @@ def main(argv=None) -> int:
         "--engine",
         choices=["auto", "codegen", "plan", "vector"],
         default=None,
-        help="execution engine: auto (the default — columnar numpy"
-        " kernels when the whole spec is vector-eligible, else the"
-        " dispatch plan), generated source, the flat dispatch plan"
-        " (no exec), or the columnar vector engine; 'emit'"
-        " defaults to codegen (it prints generated source)",
+        help="execution engine: auto (the default — vector when"
+        " eligible, else codegen: columnar numpy kernels when the"
+        " whole spec is vector-eligible, else generated source),"
+        " generated source, the flat dispatch plan (no exec), or the"
+        " columnar vector engine; 'emit' defaults to codegen (it"
+        " prints generated source)",
     )
     parser.add_argument(
         "--batch-size",

@@ -1,30 +1,71 @@
 """Code generation: flat specification → Python monitor class (§III-A).
 
-The calculation section is emitted as a single ``_calc(self, ts)``
-method that computes every stream's current value into a local variable,
-following the translation order.  Stream state that survives between
-timestamps lives on the instance:
+The calculation section is generated exactly once, as the function
+``_calc_rows(self, rows, emit)``.  A *row* is one timestamp's inputs,
+``(ts, v_<input>...)`` in ``INPUTS`` order (``None`` where a stream
+has no event); ``_calc_rows`` evaluates every stream of every row into
+local variables, following the translation order.  Both ingestion
+paths feed it: ``push`` hands over one row per timestamp, ``feed_batch`` a whole
+batch of rows.  Everything that is the same for every specification —
+the ingestion loop and its protocol checks, state initialization, the
+earliest-delay lookup — lives in :class:`CodegenMonitorBase` and is
+compiled once, with this module.
 
-* ``_in_<name>`` — current input values (set by ``push``, reset here),
+Generated code only ever sees timestamps after 0.  Timestamp 0 — the
+only one at which ``unit``, constants and empty-aggregate constructors
+fire — is evaluated by :meth:`CodegenMonitorBase._calc0` from the
+class's ``PROGRAM`` table, through the same bound lift callables.  So
+the generated code folds every stream that can only fire at 0 (and
+every stream that never fires) to ``None`` at compile time, together
+with the merges and guards over them.  ``time(x)`` and merges left with
+one live operand get no line of their own either: their uses read
+``ts`` (guarded by ``x``) or the operand directly.  A guard tests each
+variable once, and a stream present in every row (a lone input, a merge
+of all inputs, in a spec without delays) needs no test at all.
+
+Stream state that survives between timestamps lives on the instance:
+
+* ``_in_<name>`` — inputs of the pending (not yet calculated) timestamp,
 * ``_last_<name>`` — stored last values for streams used as the first
-  argument of a ``last`` (paper's ``v_last`` variables),
+  argument of a ``last`` (paper's ``v_last`` variables); ``_calc_rows``
+  reads them into locals before its loop and writes them back after,
 * ``_next_<name>`` — pending timestamps of ``delay`` streams (paper's
   ``s_nextTs`` variables).
 
-Lifted functions are bound per stream into the generated module's
-namespace; aggregate constructors receive the collection backend chosen
-by the mutability analysis for the constructed stream — the single point
-where the optimization manifests in code.
+The class itself is assembled with ``type()`` from the compiled
+function and a *layout* (inputs, outputs, state attributes, the
+timestamp-0 program), so the compiled source holds nothing but the
+calculation section.  Lifted functions are bound per stream into the
+generated module's namespace; aggregate constructors receive the
+collection backend chosen by the mutability analysis for the
+constructed stream — the single point where the optimization manifests
+in code.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import ErrorPolicy, ErrorValue
 from ..lang.ast import Delay, Last, Lift, Nil, TimeExpr, UnitExpr
-from ..lang.builtins import EventPattern
+from ..lang.builtins import EventPattern, LiftedFunction
+from ..lang.lint import zero_only_streams
 from ..lang.spec import FlatSpec
+from ..lang.types import BOOL, FLOAT, INT, STR
 from ..structures import Backend
 from .monitor import UNIT_VALUE, MonitorBase, MonitorError
 from .runtime import RunReport, delay_next, wrap_lift
@@ -40,8 +81,334 @@ def _check_identifier(name: str) -> str:
     return name
 
 
+_NONE_PAYLOAD = "None is the no-event value; not a valid payload"
+
+#: Guard of a stream that fires in every row ``_calc_rows`` sees.
+_ALWAYS = ""
+
+
+def _tuple_getter(attrs: Sequence[str]) -> Callable[[Any], tuple]:
+    """``obj → tuple of its attributes attrs``, in C where ``attrgetter``
+    allows.
+
+    State is read and written attribute by attribute, never through
+    the instance ``__dict__``: on CPython 3.11+ touching an instance's
+    ``__dict__`` makes every later attribute access on it slower.
+    """
+    if len(attrs) > 1:
+        return attrgetter(*attrs)
+    if attrs:
+        get = attrgetter(attrs[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+class CodegenMonitorBase(MonitorBase):
+    """The spec-independent half of every generated monitor.
+
+    Subclasses are built by :func:`assemble_class` from a generated
+    ``_calc_rows`` and a layout; everything else — state initialization,
+    timestamp 0, the one-row ``push`` path and the batch ingestion loop
+    — is here.
+    """
+
+    #: Instance attributes holding stream state, all ``None`` initially.
+    STATE: Tuple[str, ...] = ()
+    #: True when compiled under an error policy (the monitor then owns
+    #: a live :class:`RunReport`).
+    ERROR_MODE: bool = False
+    #: Timestamp 0: ``(stream, kind, args)`` in translation order, kind
+    #: one of ``unit``, ``time``, ``last``, ``delay``, ``merge``,
+    #: ``all`` (strict lift) or ``any`` (any other lift).
+    PROGRAM: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = ()
+    #: Streams whose last value is kept (``_last_<name>``).
+    LASTS: Tuple[str, ...] = ()
+    #: ``(delay, reset, amount)`` per ``delay`` stream.
+    DELAYS: Tuple[Tuple[str, str, str], ...] = ()
+    #: Streams whose last value the generated ``_calc_rows`` reads and
+    #: updates (its ``_last_<name>`` cells).
+    CELLS: Tuple[str, ...] = ()
+    #: Derived: ``_in_<name>`` attributes in ``INPUTS`` order, input
+    #: name → position in a row (slot 0 is the timestamp), and the
+    #: ``_next_<name>`` attributes of the delays.
+    IN_ATTRS: Tuple[str, ...] = ()
+    ROW_SLOT: Mapping[str, int] = {}
+    NEXT_ATTRS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.IN_ATTRS = tuple("_in_" + name for name in cls.INPUTS)
+        cls.ROW_SLOT = {name: k + 1 for k, name in enumerate(cls.INPUTS)}
+        cls.NEXT_ATTRS = tuple("_next_" + d for d, _, _ in cls.DELAYS)
+        cls.HAS_DELAYS = bool(cls.DELAYS)
+        # the pending inputs as a row; a lone input (the common case)
+        # without building a tuple of one
+        cls.LONE_INPUT = cls.IN_ATTRS[0] if len(cls.IN_ATTRS) == 1 else ""
+        cls._inputs_of = staticmethod(_tuple_getter(cls.IN_ATTRS))
+        cls._delays_of = staticmethod(_tuple_getter(cls.NEXT_ATTRS))
+
+    def _init_state(self) -> None:
+        for attr in self.STATE:
+            setattr(self, attr, None)
+        if self.ERROR_MODE:
+            self._report = RunReport()
+
+    def _calc_rows(self, rows: Sequence[tuple], emit: Any) -> None:
+        """The calculation section over *rows*, all after timestamp 0."""
+        raise NotImplementedError  # pragma: no cover - generated
+
+    def _next_delay(self) -> Optional[int]:
+        if len(self.NEXT_ATTRS) == 1:
+            return getattr(self, self.NEXT_ATTRS[0])
+        pending = [ts for ts in self._delays_of(self) if ts is not None]
+        return min(pending) if pending else None
+
+    def _run_calc(self, ts: int) -> None:
+        """One timestamp (``push``, delays): the pending inputs become a
+        single row."""
+        assert ts > self._done_ts
+        attr = self.LONE_INPUT
+        if attr:
+            row = (ts, getattr(self, attr))
+            setattr(self, attr, None)
+        else:
+            row = (ts,) + self._inputs_of(self)
+            for attr in self.IN_ATTRS:
+                setattr(self, attr, None)
+        if ts:
+            self._calc_rows((row,), self._on_output)
+        else:
+            self._calc0(row)
+        self._done_ts = ts
+
+    def _calc0(self, row: Sequence[Any]) -> None:
+        """The calculation section at timestamp 0, from ``PROGRAM``.
+
+        At 0 no ``last`` has a value yet and no ``delay`` is due, so
+        only ``unit``, ``time``, merges and lifts can fire.
+        """
+        lifts = self._calc_rows.__globals__
+        rep = getattr(self, "_report", None)
+        error_mode = self.ERROR_MODE
+        values: Dict[str, Any] = dict(zip(self.INPUTS, row[1:]))
+        for name, kind, args in self.PROGRAM:
+            value = None
+            if kind == "unit":
+                value = UNIT_VALUE
+            elif kind == "time":
+                if values.get(args[0]) is not None:
+                    value = 0
+            elif kind == "merge":
+                value = values.get(args[0])
+                if value is None:
+                    value = values.get(args[1])
+            elif kind in ("all", "any"):
+                operands = [values.get(arg) for arg in args]
+                present = [operand is not None for operand in operands]
+                if all(present) if kind == "all" else any(present):
+                    func = lifts["_f_" + name]
+                    if error_mode:
+                        value = func(rep, 0, *operands)
+                    else:
+                        value = func(*operands)
+            values[name] = value
+        emit = self._on_output
+        for name in self.OUTPUTS:
+            value = values.get(name)
+            if value is not None:
+                if error_mode and value.__class__ is ErrorValue:
+                    rep.error_outputs += 1
+                emit(name, 0, value)
+        for name in self.LASTS:
+            value = values.get(name)
+            if value is not None:
+                setattr(self, "_last_" + name, value)
+        for name, reset, amount in self.DELAYS:
+            if values.get(reset) is not None:
+                value = values.get(amount)
+                if error_mode:
+                    value = delay_next(rep, 0, value)
+                elif value is not None:
+                    value = 0 + value
+                setattr(self, "_next_" + name, value)
+
+    def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
+        """Group a batch into rows and run them through one
+        ``_calc_rows`` call.
+
+        Same protocol checks and messages as :meth:`MonitorBase.feed_batch`.
+        On a protocol error, the rows completed before the offending
+        event are still calculated (the partial progress a ``push`` loop
+        makes).  An exception raised *by the calculation* (a lift
+        without an error policy, the output callback) stops the monitor
+        instead: the batch's events are consumed by then, so no state
+        would match a ``push`` loop's; every later call raises
+        :class:`MonitorError`.  Raised while a protocol error is pending,
+        the calculation error wins (a ``push`` loop meets it first).
+        """
+        if self._finished:
+            raise self._closed("feed_batch")
+        rows: List[tuple] = []
+        try:
+            if len(self.INPUTS) == 1:
+                return self._rows_of_one(events, rows)
+            return self._rows_of_many(events, rows)
+        finally:
+            if rows or self.HAS_DELAYS:
+                try:
+                    if self.HAS_DELAYS:
+                        self._calc_rows(self._with_delays(rows), self._on_output)
+                    else:
+                        self._calc_rows(rows, self._on_output)
+                        self._done_ts = rows[-1][0]
+                except BaseException as exc:
+                    self._stop(f"feed_batch() raised {type(exc).__name__}")
+                    raise
+
+    def _with_delays(self, rows: List[tuple]) -> Iterator[tuple]:
+        """*rows*, each preceded by the delay timestamps due before it,
+        and then those due before the pending timestamp.
+
+        Lazy: ``_calc_rows`` pulls a row only after it has calculated
+        the previous one, so the delays it (re)armed are already in
+        place when the next due one is looked up.
+        """
+        next_delay = self._next_delay
+        blank = (None,) * len(self.INPUTS)
+        pending = self._pending_ts
+        for row in rows + [(pending,)] if pending is not None else rows:
+            ts = row[0]
+            due = next_delay()
+            while due is not None and due < ts:
+                self._done_ts = due
+                yield (due, *blank)
+                due = next_delay()
+            if ts != pending:
+                self._done_ts = ts
+                yield row
+
+    def _first_row(self, ts: int) -> None:
+        """Checks for a batch's first new timestamp; calculates
+        timestamp 0 first when *ts* skips it."""
+        if ts < 0:
+            raise MonitorError(f"negative timestamp {ts}")
+        done = self._done_ts
+        if ts <= done:
+            raise MonitorError(
+                f"event at t={ts} arrived after t={done} was calculated"
+            )
+        if done < 0 and ts > 0:
+            self._calc0((0,) + (None,) * len(self.INPUTS))
+            self._done_ts = 0
+
+    def _rows_of_one(self, events: Iterable[tuple], rows: List[tuple]) -> int:
+        """:meth:`feed_batch`'s grouping loop for a single input."""
+        only, attr = self.INPUTS[0], self.IN_ATTRS[0]
+        current = getattr(self, attr)
+        pending = self._pending_ts
+        append = rows.append
+        count = 0
+        try:
+            for ts, name, value in events:
+                if name != only:
+                    raise MonitorError(f"unknown input stream {name!r}")
+                if value is None:
+                    raise MonitorError(_NONE_PAYLOAD)
+                if ts != pending:
+                    if pending is None:
+                        self._first_row(ts)
+                    elif ts < pending:
+                        raise MonitorError(
+                            f"out-of-order event: t={ts} after t={pending}"
+                        )
+                    elif pending:
+                        append((pending, current))
+                    else:
+                        self._calc0((0, current))
+                        self._done_ts = 0
+                    pending = ts
+                current = value
+                count += 1
+        finally:
+            self._pending_ts = pending
+            setattr(self, attr, current)
+        return count
+
+    def _rows_of_many(self, events: Iterable[tuple], rows: List[tuple]) -> int:
+        """:meth:`feed_batch`'s grouping loop for several inputs."""
+        slot_of = self.ROW_SLOT
+        attrs = self.IN_ATTRS
+        blank = (None,) * len(attrs)
+        pending = self._pending_ts
+        row: List[Any] = [pending]
+        row += self._inputs_of(self)
+        append = rows.append
+        count = 0
+        try:
+            for ts, name, value in events:
+                slot = slot_of.get(name)
+                if slot is None:
+                    raise MonitorError(f"unknown input stream {name!r}")
+                if value is None:
+                    raise MonitorError(_NONE_PAYLOAD)
+                if ts != pending:
+                    if pending is None:
+                        self._first_row(ts)
+                    elif ts < pending:
+                        raise MonitorError(
+                            f"out-of-order event: t={ts} after t={pending}"
+                        )
+                    else:
+                        row[0] = pending
+                        if pending:
+                            append(tuple(row))
+                        else:
+                            self._calc0(row)
+                            self._done_ts = 0
+                        row[1:] = blank
+                    pending = ts
+                row[slot] = value
+                count += 1
+        finally:
+            self._pending_ts = pending
+            for attr, value in zip(attrs, row[1:]):
+                setattr(self, attr, value)
+        return count
+
+
+def assemble_class(
+    class_name: str,
+    namespace: Dict[str, Any],
+    layout: Mapping[str, Any],
+    source: str,
+    code: Any,
+) -> type:
+    """The monitor class for an exec'd ``_calc_rows`` and its *layout*."""
+    return type(
+        class_name,
+        (CodegenMonitorBase,),
+        {
+            "INPUTS": tuple(layout["inputs"]),
+            "OUTPUTS": tuple(layout["outputs"]),
+            "STATE": tuple(layout["state"]),
+            "PROGRAM": tuple(
+                (name, kind, tuple(args))
+                for name, kind, args in layout["program"]
+            ),
+            "LASTS": tuple(layout["lasts"]),
+            "CELLS": tuple(layout["cells"]),
+            "DELAYS": tuple(tuple(arm) for arm in layout["delays"]),
+            "ERROR_MODE": bool(layout["error_mode"]),
+            "_calc_rows": namespace["_calc_rows"],
+            "SOURCE": source,
+            "CODE": code,
+            "LAYOUT": layout,
+        },
+    )
+
+
 class CodeGenerator:
-    """Builds the source text and namespace for one monitor class."""
+    """Builds the source text, layout and namespace for one monitor class."""
 
     def __init__(
         self,
@@ -65,18 +432,10 @@ class CodeGenerator:
         #: When set, the generated monitor evaluates under the hardened
         #: error semantics (see :mod:`repro.compiler.runtime`): lifts
         #: are wrapped, delay re-arms tolerate error amounts, and a
-        #: per-instance :class:`RunReport` counts every fault.  When
-        #: ``None`` the output is byte-identical to the seed compiler's.
+        #: per-instance :class:`RunReport` counts every fault.
         self.error_policy = error_policy
-        self.namespace: Dict[str, Any] = {
-            "MonitorBase": MonitorBase,
-            "MonitorError": MonitorError,
-            "_UNIT": UNIT_VALUE,
-        }
-        if error_policy is not None:
-            self.namespace["_ERR"] = ErrorValue
-            self.namespace["_RunReport"] = RunReport
-            self.namespace["_delay_next"] = delay_next
+        self.namespace: Dict[str, Any] = _base_namespace(error_policy)
+        self._dead_streams: Optional[Set[str]] = None
         if sorted(self.order) != sorted(flat.streams):
             raise CodegenError("order must enumerate exactly the spec's streams")
 
@@ -96,291 +455,227 @@ class CodeGenerator:
                     )
                 self.namespace[f"_f_{name}"] = impl
 
-    def _calc_line(self, name: str, last_prefix: str = "self._last_") -> List[str]:
-        expr = self.flat.definitions[name]
-        v = f"v_{name}"
-        if isinstance(expr, Nil):
-            return [f"{v} = None"]
-        if isinstance(expr, UnitExpr):
-            return [f"{v} = _UNIT if ts == 0 else None"]
-        if isinstance(expr, TimeExpr):
-            return [f"{v} = ts if v_{expr.operand.name} is not None else None"]
-        if isinstance(expr, Last):
-            return [
-                f"{v} = {last_prefix}{expr.value.name}"
-                f" if v_{expr.trigger.name} is not None else None"
-            ]
-        if isinstance(expr, Delay):
-            return [f"{v} = _UNIT if self._next_{name} == ts else None"]
-        assert isinstance(expr, Lift)
-        args = [f"v_{arg.name}" for arg in expr.args]
-        if expr.func.name == "merge":
-            a, b = args
-            return [f"{v} = {a} if {a} is not None else {b}"]
-        if self.error_policy is not None:
-            call = f"_f_{name}(rep, ts, {', '.join(args)})"
-        else:
-            call = f"_f_{name}({', '.join(args)})"
-        if expr.func.pattern is EventPattern.ALL:
-            guard = " and ".join(f"{a} is not None" for a in args)
-            return [f"{v} = {call} if {guard} else None"]
-        guard = " or ".join(f"{a} is not None" for a in args)
-        return [f"{v} = {call} if ({guard}) else None"]
+    def _dead(self) -> Set[str]:
+        """Streams that fire at most at timestamp 0: ``None`` in every row
+        ``_calc_rows`` sees, and so is every ``last`` they trigger."""
+        if self._dead_streams is None:
+            self._dead_streams = zero_only_streams(self.flat)
+        return self._dead_streams
+
+    def layout(self) -> Dict[str, Any]:
+        """The class-level tables of the monitor, as JSON-ready lists."""
+        flat = self.flat
+        dead = self._dead()
+        cells: Set[str] = set()
+        program: List[List[Any]] = []
+        lasts: Set[str] = set()
+        delays: List[List[str]] = []
+        for name in self.order:
+            expr = flat.definitions.get(name)
+            if expr is None or isinstance(expr, Nil):
+                continue
+            if isinstance(expr, UnitExpr):
+                program.append([name, "unit", []])
+            elif isinstance(expr, TimeExpr):
+                program.append([name, "time", [expr.operand.name]])
+            elif isinstance(expr, Last):
+                lasts.add(expr.value.name)
+                if name not in dead:
+                    cells.add(expr.value.name)
+                program.append([name, "last", []])
+            elif isinstance(expr, Delay):
+                delays.append([name, expr.reset.name, expr.delay.name])
+                program.append([name, "delay", []])
+            else:
+                assert isinstance(expr, Lift)
+                if expr.func.name == "merge":
+                    kind = "merge"
+                elif expr.func.pattern is EventPattern.ALL:
+                    kind = "all"
+                else:
+                    kind = "any"
+                program.append([name, kind, [arg.name for arg in expr.args]])
+        inputs = list(flat.inputs)
+        last_values = sorted(lasts)
+        return {
+            "inputs": inputs,
+            "outputs": list(flat.outputs),
+            "state": (
+                [f"_in_{name}" for name in inputs]
+                + [f"_last_{name}" for name in last_values]
+                + [f"_next_{name}" for name, _, _ in delays]
+            ),
+            "program": program,
+            "lasts": last_values,
+            "cells": sorted(cells),
+            "delays": delays,
+            "error_mode": self.error_policy is not None,
+        }
 
     # -- assembly ------------------------------------------------------------
 
     def source(self) -> str:
+        """The calculation section for timestamps after 0: ``_calc_rows``."""
         flat = self.flat
-        inputs = list(flat.inputs)
-        delays = [
-            name
-            for name, expr in flat.definitions.items()
-            if isinstance(expr, Delay)
-        ]
-        last_values = sorted(
-            {
-                expr.value.name
-                for expr in flat.definitions.values()
-                if isinstance(expr, Last)
-            }
-        )
         for name in flat.streams:
             _check_identifier(name)
-
-        lines: List[str] = [
-            f"class {self.class_name}(MonitorBase):",
-            f"    INPUTS = {tuple(inputs)!r}",
-            f"    OUTPUTS = {tuple(flat.outputs)!r}",
-            f"    HAS_DELAYS = {bool(delays)!r}",
-            "",
-            "    def _init_state(self):",
-        ]
         error_mode = self.error_policy is not None
-        state_lines = (
-            [f"        self._in_{name} = None" for name in inputs]
-            + [f"        self._last_{name} = None" for name in last_values]
-            + [f"        self._next_{name} = None" for name in delays]
-            + (["        self._report = _RunReport()"] if error_mode else [])
-        )
-        lines.extend(state_lines or ["        pass"])
+        has_delays = any(isinstance(e, Delay) for e in flat.definitions.values())
+        dead = self._dead()
+        #: stream → its value expression, and its guard: the variable
+        #: whose None-ness decides whether it fires, ALWAYS when it fires
+        #: in every row, None when it never fires after 0
+        value: Dict[str, str] = {}
+        guard: Dict[str, Optional[str]] = {}
+        # A row exists only for a timestamp with an input event (delay
+        # timestamps aside), so a stream that fires whenever any input
+        # does — a lone input, a merge of all inputs — fires in every
+        # row.  covers[s]: inputs whose events alone make s fire.
+        every_row = frozenset(flat.inputs) if not has_delays else None
+        covers: Dict[str, FrozenSet[str]] = {}
+        for name in flat.inputs:
+            value[name] = f"v_{name}"
+            covers[name] = frozenset((name,))
+            guard[name] = _ALWAYS if covers[name] == every_row else f"v_{name}"
+        for name in dead:
+            value[name], guard[name] = "None", None
+        loop: List[str] = []
 
-        # Lifted implementations are bound as keyword-default parameters:
-        # locals are one dictionary lookup cheaper than module globals in
-        # the per-event hot path.
-        bound_names = sorted(
-            f"_f_{name}"
-            for name, expr in flat.definitions.items()
-            if isinstance(expr, Lift) and expr.func.name != "merge"
-        )
-        signature = ", ".join(
-            ["self", "ts"] + [f"{fn}={fn}" for fn in bound_names]
-        )
-        lines += ["", f"    def _calc({signature}):"]
-        body: List[str] = []
-        if error_mode:
-            body.append("rep = self._report")
-        # load inputs into locals
-        for name in inputs:
-            body.append(f"v_{name} = self._in_{name}")
-        # calculation section in translation order
+        def operand(stream: str) -> str:
+            """*stream*'s value where it may be absent (``None`` then)."""
+            v = value[stream]
+            if guard[stream] == _ALWAYS or v in (guard[stream], "None"):
+                return v
+            return f"({v} if {guard[stream]} is not None else None)"
+
+        def when(streams: Iterable[str], joiner: str) -> str:
+            """The test that all (``and``) or any (``or``) of *streams*
+            fire, each guard variable tested once; empty when it always
+            holds."""
+            guards: List[str] = []
+            for stream in streams:
+                g = guard[stream]
+                if g == _ALWAYS:
+                    if joiner == "or":
+                        return ""
+                elif g is not None and g not in guards:
+                    guards.append(g)
+            return f" {joiner} ".join(f"{g} is not None" for g in guards)
+
+        def guarded(test: str, expr: str) -> str:
+            return f"{expr} if {test} else None" if test else expr
+
+        lasts: Set[str] = set()
+        delays: List[Tuple[str, str, str]] = []
         for name in self.order:
-            if name in flat.inputs:
+            expr = flat.definitions.get(name)
+            if expr is None or name in dead:
                 continue
-            body.extend(self._calc_line(name))
-        # outputs
-        if flat.outputs:
-            body.append("emit = self._on_output")
-            for name in flat.outputs:
-                if error_mode:
-                    body += [
-                        f"if v_{name} is not None:",
-                        f"    if v_{name}.__class__ is _ERR:"
-                        " rep.error_outputs += 1",
-                        f"    emit({name!r}, ts, v_{name})",
-                    ]
-                else:
-                    body.append(
-                        f"if v_{name} is not None: emit({name!r}, ts, v_{name})"
+            v = f"v_{name}"
+            value[name] = guard[name] = v
+            if isinstance(expr, TimeExpr):
+                value[name], guard[name] = "ts", guard[expr.operand.name]
+                covers[name] = covers.get(expr.operand.name, frozenset())
+            elif isinstance(expr, Last):
+                lasts.add(expr.value.name)
+                test = when([expr.trigger.name], "and")
+                loop.append(f"{v} = {guarded(test, f'last_{expr.value.name}')}")
+            elif isinstance(expr, Delay):
+                delays.append((name, expr.reset.name, expr.delay.name))
+                loop.append(f"{v} = _UNIT if self._next_{name} == ts else None")
+            else:
+                assert isinstance(expr, Lift)
+                args = [arg.name for arg in expr.args]
+                live = [arg for arg in args if guard[arg] is not None]
+                if expr.func.name == "merge":
+                    a, b = args
+                    if len(live) == 1 or guard[a] == _ALWAYS or a == b:
+                        value[name], guard[name] = value[live[0]], guard[live[0]]
+                    else:
+                        loop.append(
+                            f"{v} = {value[a]} if {guard[a]} is not None"
+                            f" else {operand(b)}"
+                        )
+                    covers[name] = covers.get(a, frozenset()) | covers.get(
+                        b, frozenset()
                     )
+                    if covers[name] == every_row:
+                        guard[name] = _ALWAYS
+                    continue
+                strict = expr.func.pattern is EventPattern.ALL
+                operands = ", ".join(
+                    value[arg] if strict else operand(arg) for arg in args
+                )
+                if error_mode:
+                    call = f"_f_{name}(rep, ts, {operands})"
+                else:
+                    call = f"_f_{name}({operands})"
+                test = when(live, "and" if strict else "or")
+                loop.append(f"{v} = {guarded(test, call)}")
+        for name in flat.outputs:
+            if guard[name] is None:
+                continue
+            test = when([name], "and")
+            emit = [f"emit({name!r}, ts, {value[name]})"]
+            if error_mode:
+                emit.insert(
+                    0,
+                    f"if {value[name]}.__class__ is _ERR: rep.error_outputs += 1",
+                )
+            if not test:
+                loop.extend(emit)
+            elif len(emit) == 1:
+                loop.append(f"if {test}: {emit[0]}")
+            else:
+                loop.append(f"if {test}:")
+                loop.extend("    " + line for line in emit)
         # store last values for the next timestamps
-        for name in last_values:
-            body.append(
-                f"if v_{name} is not None: self._last_{name} = v_{name}"
-            )
+        for name in sorted(lasts):
+            if guard[name] is not None:
+                test = when([name], "and")
+                store = f"last_{name} = {value[name]}"
+                loop.append(f"if {test}: {store}" if test else store)
         # schedule delays (paper §III-B): reset on reset-stream event or
         # own event; the delay amount is read at the reset timestamp
-        for name in delays:
-            expr = flat.definitions[name]
-            assert isinstance(expr, Delay)
-            reset, amount = expr.reset.name, expr.delay.name
-            body.append(
-                f"if v_{reset} is not None or v_{name} is not None:"
-            )
+        for name, reset, amount in delays:
             if error_mode:
-                body.append(
-                    f"    self._next_{name} = _delay_next(rep, ts, v_{amount})"
-                )
+                arm = f"_delay_next(rep, ts, {operand(amount)})"
+            elif guard[amount] is not None:
+                arm = guarded(when([amount], "and"), f"ts + {value[amount]}")
             else:
-                body.append(
-                    f"    self._next_{name} ="
-                    f" (ts + v_{amount}) if v_{amount} is not None else None"
-                )
-        # reset input variables
-        for name in inputs:
-            body.append(f"self._in_{name} = None")
-        if not body:
-            body = ["pass"]
-        lines.extend("        " + line for line in body)
+                arm = "None"
+            loop.append(f"if {when((reset, name), 'or')}: self._next_{name} = {arm}")
 
-        # Specialized batch hot path (delay-free specs only): the whole
-        # calculation section is inlined into a closure over *local*
-        # state — input cells, last cells and the pending/done cursors
-        # live in the enclosing frame, so a batch of events runs with
-        # zero per-event attribute access.  Specs with delays keep the
-        # generic ``MonitorBase.feed_batch`` (the delay catch-up loop
-        # needs ``_next_delay`` anyway).
-        if not delays and inputs:
-            batch_signature = ", ".join(
-                ["self", "events"] + [f"{fn}={fn}" for fn in bound_names]
-            )
-            lines += ["", f"    def feed_batch({batch_signature}):"]
-            b: List[str] = [
-                "if self._finished:",
-                "    raise MonitorError('feed_batch() after finish()')",
-            ]
-            if error_mode:
-                b.append("rep = self._report")
-            b.append("emit = self._on_output")
-            for name in inputs:
-                b.append(f"in_{name} = self._in_{name}")
-            for name in last_values:
-                b.append(f"last_{name} = self._last_{name}")
-            b += [
-                "pending = self._pending_ts",
-                "done = self._done_ts",
-                "count = 0",
-                "def _calc_inline(ts):",
-            ]
-            hot_state = (
-                [f"in_{name}" for name in inputs]
-                + [f"last_{name}" for name in last_values]
-                + ["done"]
-            )
-            b.append(f"    nonlocal {', '.join(hot_state)}")
-            calc_body: List[str] = []
-            for name in inputs:
-                calc_body.append(f"v_{name} = in_{name}")
-            for name in self.order:
-                if name in flat.inputs:
-                    continue
-                calc_body.extend(self._calc_line(name, last_prefix="last_"))
-            for name in flat.outputs:
-                if error_mode:
-                    calc_body += [
-                        f"if v_{name} is not None:",
-                        f"    if v_{name}.__class__ is _ERR:"
-                        " rep.error_outputs += 1",
-                        f"    emit({name!r}, ts, v_{name})",
-                    ]
-                else:
-                    calc_body.append(
-                        f"if v_{name} is not None: emit({name!r}, ts, v_{name})"
-                    )
-            for name in last_values:
-                calc_body.append(
-                    f"if v_{name} is not None: last_{name} = v_{name}"
-                )
-            for name in inputs:
-                calc_body.append(f"in_{name} = None")
-            calc_body.append("done = ts")
-            b.extend("    " + line for line in calc_body)
-
-            loop_body: List[str] = []
-            if len(inputs) == 1:
-                loop_body += [
-                    f"if name != {inputs[0]!r}:",
-                    "    raise MonitorError("
-                    "f'unknown input stream {name!r}')",
-                ]
-            else:
-                names_set = "{" + ", ".join(repr(n) for n in inputs) + "}"
-                loop_body += [
-                    f"if name not in {names_set}:",
-                    "    raise MonitorError("
-                    "f'unknown input stream {name!r}')",
-                ]
-            loop_body += [
-                "if value is None:",
-                "    raise MonitorError("
-                "'None is the no-event value; not a valid payload')",
-                "if ts != pending:",
-                "    if pending is not None:",
-                "        if ts < pending:",
-                "            raise MonitorError(",
-                "                f'out-of-order event: t={ts} after"
-                " t={pending}'",
-                "            )",
-                "        _calc_inline(pending)",
-                "        pending = None",
-                "    if ts < 0:",
-                "        raise MonitorError(f'negative timestamp {ts}')",
-                "    if ts <= done:",
-                "        raise MonitorError(",
-                "            f'event at t={ts} arrived after t={done} was"
-                " calculated'",
-                "        )",
-                "    if done < 0 and ts > 0:",
-                "        _calc_inline(0)",
-                "    pending = ts",
-            ]
-            if len(inputs) == 1:
-                loop_body.append(f"in_{inputs[0]} = value")
-            else:
-                loop_body.append(
-                    f"if name == {inputs[0]!r}: in_{inputs[0]} = value"
-                )
-                for name in inputs[1:]:
-                    loop_body.append(
-                        f"elif name == {name!r}: in_{name} = value"
-                    )
-            loop_body.append("count += 1")
-
-            b.append("try:")
-            b.append("    for ts, name, value in events:")
-            b.extend("        " + line for line in loop_body)
-            b.append("finally:")
-            b.append("    self._pending_ts = pending")
-            b.append("    self._done_ts = done")
-            for name in inputs:
-                b.append(f"    self._in_{name} = in_{name}")
-            for name in last_values:
-                b.append(f"    self._last_{name} = last_{name}")
-            b.append("return count")
-            lines.extend("        " + line for line in b)
-
-        # earliest pending delay
-        if delays:
-            lines += ["", "    def _next_delay(self):"]
-            if len(delays) == 1:
-                lines.append(f"        return self._next_{delays[0]}")
-            else:
-                exprs = ", ".join(f"self._next_{d}" for d in delays)
-                lines += [
-                    f"        pending = [t for t in ({exprs}) if t is not None]",
-                    "        return min(pending) if pending else None",
-                ]
-        return "\n".join(lines) + "\n"
+        # the last-value cells live in locals while the rows run
+        cells = sorted(lasts)
+        body = ["rep = self._report"] if error_mode else []
+        body.extend(f"last_{name} = self._last_{name}" for name in cells)
+        row = ", ".join(["ts"] + [f"v_{name}" for name in flat.inputs])
+        body.append(f"for {row}{',' if not flat.inputs else ''} in rows:")
+        body.extend("    " + line for line in loop or ["pass"])
+        body.extend(f"self._last_{name} = last_{name}" for name in cells)
+        return "def _calc_rows(self, rows, emit):\n" + "".join(
+            f"    {line}\n" for line in body
+        )
 
     def compile(self) -> type:
         """Exec the generated source; return the monitor class."""
         self._bind_functions()
         source = self.source()
-        code = compile(source, f"<generated {self.class_name}>", "exec")
+        code = compile(source, "<generated monitor>", "exec")
         exec(code, self.namespace)
-        cls = self.namespace[self.class_name]
-        cls.SOURCE = source
-        cls.CODE = code
-        return cls
+        return assemble_class(
+            self.class_name, self.namespace, self.layout(), source, code
+        )
+
+
+def _base_namespace(error_policy: Optional[ErrorPolicy]) -> Dict[str, Any]:
+    """The runtime symbols every generated module refers to."""
+    namespace: Dict[str, Any] = {"_UNIT": UNIT_VALUE}
+    if error_policy is not None:
+        namespace["_ERR"] = ErrorValue
+        namespace["_delay_next"] = delay_next
+    return namespace
 
 
 def generate_monitor_class(
@@ -411,6 +706,21 @@ def generate_monitor_class(
     return generator.compile()
 
 
+def _exec_code(namespace: Dict[str, Any], code_blob: bytes) -> Optional[Any]:
+    """Unmarshal and exec a cached module into *namespace*; ``None``
+    when the blob is not the expected module."""
+    import marshal
+
+    try:
+        code = marshal.loads(code_blob)
+        exec(code, namespace)
+    except (ValueError, EOFError, TypeError, SyntaxError, NameError):
+        return None
+    if not callable(namespace.get("_calc_rows")):
+        return None
+    return code
+
+
 def monitor_class_from_code(
     flat: FlatSpec,
     order: Sequence[str],
@@ -429,12 +739,10 @@ def monitor_class_from_code(
     object (``.pyc``-style, validated against the interpreter magic
     number by the cache layer) skips both source assembly and
     recompilation.  Only the namespace — lift callables bound to the
-    per-stream backends — is rebuilt here.  Returns ``None`` when the
-    blob does not unmarshal to the expected module (the caller falls
-    back to full generation).
+    per-stream backends — and the layout are rebuilt here.  Returns
+    ``None`` when the blob does not unmarshal to the expected module
+    (the caller falls back to full generation).
     """
-    import marshal
-
     generator = CodeGenerator(
         flat,
         order,
@@ -444,43 +752,73 @@ def monitor_class_from_code(
         metrics=metrics,
     )
     generator._bind_functions()
-    try:
-        code = marshal.loads(code_blob)
-        exec(code, generator.namespace)
-    except (ValueError, EOFError, TypeError, SyntaxError, NameError):
+    code = _exec_code(generator.namespace, code_blob)
+    if code is None:
         return None
-    cls = generator.namespace.get(class_name)
-    if not isinstance(cls, type):
-        return None
-    cls.SOURCE = source
-    cls.CODE = code
-    return cls
+    return assemble_class(
+        class_name, generator.namespace, generator.layout(), source, code
+    )
 
 
-def lift_recipe(flat: FlatSpec) -> Optional[Dict[str, str]]:
-    """stream → registry name for every lifted function in *flat*.
+#: Constant types a lift recipe can carry, by their printed name.
+_CONST_TYPES = {str(t): t for t in (INT, FLOAT, BOOL, STR)}
 
-    ``None`` when any lift is not the registered builtin of that name
-    (e.g. an ad-hoc :class:`~repro.lang.builtins.LiftedFunction`) — a
-    name-based recipe could then rebind the wrong implementation, so
-    such specs are excluded from the text-keyed fast path.
+
+def lift_recipe(flat: FlatSpec) -> Optional[Dict[str, Any]]:
+    """stream → recipe for every lifted function in *flat*.
+
+    A recipe is the registry name of a builtin, or ``["const", value,
+    type]`` for a lifted constant (:func:`~repro.lang.builtins.const_fn`)
+    whose value is an int, float, bool or str.  ``None`` when any other
+    lift appears (e.g. an ad-hoc
+    :class:`~repro.lang.builtins.LiftedFunction`) — a name-based recipe
+    could then rebind the wrong implementation, so such specs are
+    excluded from the text-keyed fast path.
     """
     from ..lang.builtins import REGISTRY
 
-    lifts: Dict[str, str] = {}
+    lifts: Dict[str, Any] = {}
     for name, expr in flat.definitions.items():
-        if isinstance(expr, Lift) and expr.func.name != "merge":
-            if REGISTRY.get(expr.func.name) is not expr.func:
+        if not isinstance(expr, Lift) or expr.func.name == "merge":
+            continue
+        func = expr.func
+        if func.constant is not None:
+            value, value_type = func.constant
+            if type(value) not in (int, float, bool, str) or (
+                _CONST_TYPES.get(str(value_type)) != value_type
+            ):
                 return None
-            lifts[name] = expr.func.name
+            lifts[name] = ["const", value, str(value_type)]
+        elif REGISTRY.get(func.name) is func:
+            lifts[name] = func.name
+        else:
+            return None
     return lifts
 
 
+def _recipe_function(recipe: Any) -> LiftedFunction:
+    """The lifted function a :func:`lift_recipe` entry stands for
+    (``KeyError`` when it names nothing)."""
+    from ..lang.builtins import builtin, const_fn
+
+    if isinstance(recipe, str):
+        return builtin(recipe)
+    tag, value, type_name = recipe
+    if (
+        tag != "const"
+        or type(value) not in (int, float, bool, str)
+        or type_name not in _CONST_TYPES
+    ):
+        raise KeyError(f"bad lift recipe {recipe!r}")
+    return const_fn(value, _CONST_TYPES[type_name])
+
+
 def monitor_class_from_recipe(
-    lifts: Mapping[str, str],
+    lifts: Mapping[str, Any],
     backends: Mapping[str, Backend],
     source: str,
     code_blob: bytes,
+    layout: Mapping[str, Any],
     default_backend: Backend = Backend.PERSISTENT,
     class_name: str = "GeneratedMonitor",
     error_policy: Optional[ErrorPolicy] = None,
@@ -489,42 +827,33 @@ def monitor_class_from_recipe(
     """Rebuild a monitor class without the flat specification.
 
     The text-keyed plan-cache fast path: the generated module's
-    namespace only needs the per-stream lift callables (resolvable by
-    registry name + backend) and a handful of runtime symbols, so a
-    warm hit skips the frontend entirely.  Returns ``None`` on any
-    mismatch; the caller falls back to parsing and full generation.
+    namespace only needs the per-stream lift callables (resolvable from
+    their recipes + backend) and a handful of runtime symbols, and the
+    class tables come from the cached *layout*, so a warm hit skips the
+    frontend entirely.  Returns ``None`` on any mismatch; the caller
+    falls back to parsing and full generation.
     """
-    import marshal
-
-    from ..lang.builtins import builtin
-
-    namespace: Dict[str, Any] = {
-        "MonitorBase": MonitorBase,
-        "MonitorError": MonitorError,
-        "_UNIT": UNIT_VALUE,
-    }
-    if error_policy is not None:
-        namespace["_ERR"] = ErrorValue
-        namespace["_RunReport"] = RunReport
-        namespace["_delay_next"] = delay_next
+    namespace = _base_namespace(error_policy)
     try:
-        for stream, func_name in lifts.items():
-            func = builtin(func_name)
+        for stream, recipe in lifts.items():
+            func = _recipe_function(recipe)
             impl = func.bind(backends.get(stream, default_backend))
             if metrics is not None:
                 from ..obs.metrics import instrument_lift
 
                 impl = instrument_lift(impl, func, stream, metrics)
             if error_policy is not None:
-                impl = wrap_lift(stream, func_name, impl, error_policy)
+                impl = wrap_lift(stream, func.name, impl, error_policy)
             namespace[f"_f_{stream}"] = impl
-        code = marshal.loads(code_blob)
-        exec(code, namespace)
-    except (KeyError, ValueError, EOFError, TypeError, SyntaxError, NameError):
+        code = _exec_code(namespace, code_blob)
+        if code is None:
+            return None
+        return assemble_class(
+            class_name,
+            namespace,
+            dict(layout, error_mode=error_policy is not None),
+            source,
+            code,
+        )
+    except (KeyError, ValueError, TypeError):
         return None
-    cls = namespace.get(class_name)
-    if not isinstance(cls, type):
-        return None
-    cls.SOURCE = source
-    cls.CODE = code
-    return cls

@@ -44,7 +44,7 @@ def numpy_module() -> Any:
         raise RuntimeError(
             "the vector engine requires numpy; install the optional "
             "extra (pip install 'repro[vector]') or use engine='auto' "
-            "to fall back to the plan engine"
+            "to fall back to the codegen engine"
         )
     return _np
 

@@ -1,9 +1,10 @@
 """Monitor runtime: the triggering section (paper §III-B).
 
-Generated monitor classes derive from :class:`MonitorBase`, which owns
-the event-driven outer loop: input events arrive in chronological order
+Monitor classes derive from :class:`MonitorBase`, which owns the
+event-driven outer loop: input events arrive in chronological order
 via :meth:`push`; whenever the timestamp advances, the pending
-*calculation section* (the generated ``_calc``) runs, and any ``delay``
+*calculation section* (``_run_calc`` → the engine's ``_calc``; the
+codegen engine runs its generated ``_calc_rows``) runs, and any ``delay``
 timestamps falling strictly before the new input timestamp are processed
 in between — exactly the paper's triggering loop.  :meth:`finish`
 corresponds to "when receiving the end of the input t is set to ∞".
@@ -139,6 +140,19 @@ class MonitorBase:
         self._finished = False
         self._init_state()
 
+    #: Why the monitor stopped before :meth:`finish`, else ``None``.
+    _stopped: Optional[str] = None
+
+    def _stop(self, reason: str) -> None:
+        """Refuse every further call: the state is no longer usable."""
+        self._finished = True
+        self._stopped = reason
+
+    def _closed(self, call: str) -> MonitorError:
+        if self._stopped is not None:
+            return MonitorError(f"{call}() after {self._stopped}")
+        return MonitorError(f"{call}() after finish()")
+
     # -- generated hooks ---------------------------------------------------
 
     def _init_state(self) -> None:  # pragma: no cover - overridden
@@ -183,8 +197,9 @@ class MonitorBase:
     def push(self, name: str, ts: int, value: Any) -> None:
         """Feed one input event; timestamps must be non-decreasing."""
         if self._finished:
-            raise MonitorError("push() after finish()")
-        if name not in self.INPUTS:
+            raise self._closed("push")
+        attr = self.INPUT_ATTRS.get(name)
+        if attr is None:
             raise MonitorError(f"unknown input stream {name!r}")
         if value is None:
             raise MonitorError("None is the no-event value; not a valid payload")
@@ -205,7 +220,7 @@ class MonitorBase:
             raise MonitorError(
                 f"out-of-order event: t={ts} after t={self._pending_ts}"
             )
-        setattr(self, "_in_" + name, value)
+        setattr(self, attr, value)
 
     def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
         """Feed a timestamp-sorted batch of ``(ts, name, value)`` events.
@@ -224,7 +239,7 @@ class MonitorBase:
         the same partial progress a ``push`` loop would have made.
         """
         if self._finished:
-            raise MonitorError("feed_batch() after finish()")
+            raise self._closed("feed_batch")
         input_attrs = type(self).INPUT_ATTRS
         run_calc = self._run_calc
         next_delay = self._next_delay
@@ -315,6 +330,8 @@ class MonitorBase:
         runaway periodic clock trips the ``max_steps`` guard.
         """
         if self._finished:
+            if self._stopped is not None:
+                raise self._closed("finish")
             return
         self._flush()
         if self._done_ts < 0:
@@ -346,7 +363,7 @@ class MonitorBase:
         are silent.
         """
         if self._finished:
-            raise MonitorError("advance() after finish()")
+            raise self._closed("advance")
         if ts < 0:
             raise MonitorError(f"negative timestamp {ts}")
         if self._pending_ts is not None:

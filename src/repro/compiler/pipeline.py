@@ -98,7 +98,8 @@ class CompiledSpec:
 
     @property
     def source(self) -> str:
-        """The generated Python source of the monitor class."""
+        """The generated Python source: for codegen, the calculation
+        section ``_calc_rows`` the monitor class is assembled around."""
         return self.monitor_class.SOURCE
 
     @property
@@ -130,6 +131,14 @@ class CompiledSpec:
         if self.rewrite_result is not None:
             diags.extend(self.rewrite_result.diagnostics())
             diags.sort(key=lambda d: (d.code, d.stream, d.message))
+        if self.vector_info is None and self.engine_requested == "auto":
+            # A text-keyed cache hit skipped the engine negotiation;
+            # redo it (it is syntactic) for the VEC00x notes.
+            from .vector import classify_vector
+
+            self.vector_info = classify_vector(
+                self.flat, error_policy=self.error_policy
+            )
         if self.vector_info is not None:
             vector_diags = self.vector_info.diagnostics()
             if vector_diags:
@@ -211,7 +220,7 @@ def build_compiled_spec(
     ``engine`` selects the execution strategy: ``"codegen"`` (generated
     Python source, the default), ``"plan"`` (flat dispatch plan, no
     ``exec``), ``"vector"`` (columnar numpy kernels) or ``"auto"``
-    (vector when eligible, else plan).
+    (vector when eligible, else codegen).
 
     ``error_policy`` (an :class:`~repro.errors.ErrorPolicy` or its
     string value) switches on the hardened error-propagating evaluation
@@ -232,6 +241,35 @@ def build_compiled_spec(
     per-stream copy/in-place counters into the lift bindings; ``None``
     compiles exactly the uninstrumented callables.
     """
+    return _compile(
+        spec,
+        optimize=optimize,
+        backend_override=backend_override,
+        class_name=class_name,
+        engine=engine,
+        error_policy=error_policy,
+        alias_guard=alias_guard,
+        plan_cache=plan_cache,
+        metrics=metrics,
+        rewrite=rewrite,
+    )
+
+
+def _compile(
+    spec: Union[Specification, FlatSpec],
+    optimize: bool,
+    backend_override: Optional[Backend],
+    class_name: str,
+    engine: str,
+    error_policy: Union[ErrorPolicy, str, None],
+    alias_guard: bool,
+    plan_cache: Union[str, PlanCache, None],
+    metrics: Optional[Any],
+    rewrite: bool,
+    text_key: Optional[str] = None,
+) -> CompiledSpec:
+    """:func:`build_compiled_spec`; with *text_key*, a stored entry that
+    carries generated code is also filed under that text-keyed alias."""
     policy = coerce_policy(error_policy)
     with TRACER.span("compile.flatten"):
         flat = spec if isinstance(spec, FlatSpec) else flatten(spec)
@@ -252,7 +290,7 @@ def build_compiled_spec(
 
     # Engine negotiation: "auto" resolves to the vector engine when
     # every output-owning alias-closed family is vector-eligible (and
-    # numpy is importable), else to the plan engine.  The classification
+    # numpy is importable), else to the codegen engine.  The classification
     # is cheap and syntactic, so it also runs on warm cache hits; the
     # resolved engine — not "auto" — enters the fingerprint below.
     requested_engine = engine
@@ -267,7 +305,7 @@ def build_compiled_spec(
             raise ValueError(
                 "engine='vector' requires numpy; install the optional"
                 " extra (pip install 'repro[vector]') or use"
-                " engine='auto' to fall back to the plan engine"
+                " engine='auto' to fall back to the codegen engine"
             )
 
     if isinstance(plan_cache, str):
@@ -332,12 +370,7 @@ def build_compiled_spec(
         }
 
     monitor_class: Optional[type] = None
-    if (
-        cached is not None
-        and engine == "codegen"
-        and cached.code is not None
-        and cached.class_name == class_name
-    ):
+    if cached is not None and engine == "codegen" and cached.code is not None:
         # The entry carries the generated module (.pyc-style): skip
         # source assembly and recompilation, rebind the namespace only.
         with TRACER.span("compile.codegen"):
@@ -363,36 +396,22 @@ def build_compiled_spec(
                 metrics=metrics,
             )
 
-    if plan_cache is not None and cached is None:
-        import marshal
-
-        from .codegen import lift_recipe
-
-        code = getattr(monitor_class, "CODE", None)
-        blob = marshal.dumps(code) if code is not None else None
-        with TRACER.span("compile.cache_store"):
-            plan_cache.store(
-                fingerprint,
-                CachedPlan(
-                    order=tuple(order),
-                    backends=pre_guard_backends,
-                    optimized=optimized,
-                    mutable=(
-                        frozenset(analysis.mutable)
-                        if analysis is not None
-                        else frozenset()
-                    ),
-                    source=(
-                        getattr(monitor_class, "SOURCE", None)
-                        if blob is not None
-                        else None
-                    ),
-                    code=blob,
-                    class_name=class_name if blob is not None else None,
-                    lifts=lift_recipe(flat) if blob is not None else None,
-                    plan_key=fingerprint,
-                ),
-            )
+    if plan_cache is not None:
+        _store_plan(
+            plan_cache,
+            fingerprint,
+            flat,
+            monitor_class,
+            cached,
+            order=order,
+            backends=pre_guard_backends,
+            optimized=optimized,
+            mutable=(
+                analysis.mutable if analysis is not None else cached_mutable
+            ),
+            engine=engine,
+            text_key=text_key,
+        )
     return CompiledSpec(
         flat=flat,
         monitor_class=monitor_class,
@@ -411,6 +430,54 @@ def build_compiled_spec(
         metrics=metrics,
         rewrite_result=rewrite_result,
     )
+
+
+def _store_plan(
+    plan_cache: PlanCache,
+    fingerprint: str,
+    flat: FlatSpec,
+    monitor_class: type,
+    cached: Optional[CachedPlan],
+    *,
+    order: List[str],
+    backends: Dict[str, Backend],
+    optimized: bool,
+    mutable: Optional[frozenset],
+    engine: str,
+    text_key: Optional[str],
+) -> None:
+    """Persist a compilation: one entry, aliased under *text_key* when
+    its generated code can be rebuilt without the flat spec.
+
+    A flat-keyed hit stores nothing, unless the text-keyed alias is
+    missing (the same flat spec reached from different text).
+    """
+    import marshal
+
+    from .codegen import lift_recipe
+
+    code = getattr(monitor_class, "CODE", None)
+    lifts = lift_recipe(flat) if code is not None else None
+    alias = text_key if lifts is not None else None
+    if cached is not None and alias is None:
+        return
+    with TRACER.span("compile.cache_store"):
+        plan_cache.store(
+            fingerprint,
+            CachedPlan(
+                order=tuple(order),
+                backends=backends,
+                optimized=optimized,
+                mutable=frozenset(mutable or ()),
+                source=monitor_class.SOURCE if code is not None else None,
+                code=marshal.dumps(code) if code is not None else None,
+                layout=monitor_class.LAYOUT if code is not None else None,
+                lifts=lifts,
+                plan_key=fingerprint,
+                engine=engine,
+            ),
+            alias=alias,
+        )
 
 
 def instrumented_twin(compiled: CompiledSpec, metrics: Any) -> CompiledSpec:
@@ -501,8 +568,10 @@ def build_compiled_spec_from_text(
     if isinstance(plan_cache, str):
         plan_cache = PlanCache(plan_cache)
 
+    # Only "codegen" and "auto" can produce a generated module; the key
+    # holds the requested engine, and the numpy bit for "auto".
     text_key: Optional[str] = None
-    if plan_cache is not None and engine == "codegen":
+    if plan_cache is not None and engine in ("codegen", "auto"):
         text_key = text_fingerprint(
             text,
             optimize=optimize,
@@ -515,9 +584,10 @@ def build_compiled_spec_from_text(
         cached = plan_cache.load(text_key)
         if (
             cached is not None
+            and cached.engine == "codegen"
             and cached.code is not None
+            and cached.layout is not None
             and cached.lifts is not None
-            and cached.class_name == class_name
         ):
             backends = dict(cached.backends)
             if alias_guard:
@@ -534,6 +604,7 @@ def build_compiled_spec_from_text(
                 backends,
                 cached.source or "",
                 cached.code,
+                cached.layout,
                 class_name=class_name,
                 error_policy=policy,
                 metrics=metrics,
@@ -548,7 +619,7 @@ def build_compiled_spec_from_text(
                     optimized=cached.optimized,
                     error_policy=policy,
                     alias_guard=alias_guard,
-                    engine=engine,
+                    engine="codegen",
                     engine_requested=engine,
                     fingerprint=cached.plan_key or text_key,
                     plan_cache_hit=True,
@@ -558,7 +629,7 @@ def build_compiled_spec_from_text(
 
     from ..frontend import parse_spec
 
-    compiled = build_compiled_spec(
+    return _compile(
         parse_spec(text),
         optimize=optimize,
         backend_override=backend_override,
@@ -569,41 +640,5 @@ def build_compiled_spec_from_text(
         plan_cache=plan_cache,
         metrics=metrics,
         rewrite=rewrite,
+        text_key=text_key,
     )
-    if text_key is not None:
-        from .codegen import lift_recipe
-
-        code = getattr(compiled.monitor_class, "CODE", None)
-        lifts = lift_recipe(compiled.flat)
-        if code is not None and lifts is not None:
-            import marshal
-
-            # Stored backends are pre-guard, like flat-keyed entries;
-            # under alias_guard every GUARDED slot came from the swap
-            # (unless the override itself was GUARDED, which the swap
-            # left untouched).
-            stored = dict(compiled.backends)
-            if alias_guard and backend_override is not Backend.GUARDED:
-                stored = {
-                    name: (
-                        Backend.MUTABLE
-                        if backend is Backend.GUARDED
-                        else backend
-                    )
-                    for name, backend in stored.items()
-                }
-            plan_cache.store(
-                text_key,
-                CachedPlan(
-                    order=tuple(compiled.order),
-                    backends=stored,
-                    optimized=compiled.optimized,
-                    mutable=compiled.mutable_streams,
-                    source=getattr(compiled.monitor_class, "SOURCE", None),
-                    code=marshal.dumps(code),
-                    class_name=class_name,
-                    lifts=lifts,
-                    plan_key=compiled.fingerprint,
-                ),
-            )
-    return compiled

@@ -29,7 +29,6 @@ Cache hits are observable: :attr:`CompiledSpec.plan_cache_hit` and the
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import importlib.util
 import json
@@ -43,9 +42,9 @@ from ..structures import Backend
 
 #: Bump when the entry layout (or plan semantics) change; old entries
 #: are then silently treated as misses.
-PLAN_CACHE_VERSION = 1
+PLAN_CACHE_VERSION = 2
 
-PLAN_SUFFIX = ".plan.json"
+PLAN_SUFFIX = ".plan"
 
 #: Marshal'd code objects are only portable within one interpreter
 #: build (exactly the ``.pyc`` rule); entries record this tag and the
@@ -90,9 +89,14 @@ def _numpy_bit(engine: str) -> Optional[bool]:
     """
     if engine not in ("vector", "auto"):
         return None
-    from .kernels import numpy_available
+    # Probed through the vector engine, which imports numpy itself and
+    # which every cold "auto" compile loads anyway.  Loading numpy first
+    # would put the transient memory of compiling the engine's large
+    # source on top of numpy's (about 4 MB more peak RSS on a cold
+    # compile where bytecode is not cached).
+    from .vector import kernels
 
-    return numpy_available()
+    return kernels.numpy_available()
 
 
 def plan_fingerprint(
@@ -184,9 +188,9 @@ class CachedPlan:
     ``source``/``code`` optionally carry the generated monitor module
     (source text and its marshal'd code object) for the codegen
     engine, so a warm hit also skips source assembly and
-    ``builtins.compile``.  ``class_name`` records the name the module
-    was generated under; a compilation requesting a different class
-    name regenerates instead of reusing the code payload.
+    ``builtins.compile``; ``layout`` carries the class tables the
+    module is assembled with (see
+    :func:`~repro.compiler.codegen.assemble_class`).
     """
 
     order: Tuple[str, ...]
@@ -195,26 +199,50 @@ class CachedPlan:
     mutable: frozenset
     source: Optional[str] = None
     code: Optional[bytes] = None
-    class_name: Optional[str] = None
-    #: stream → registry name of its lifted function; lets a text-keyed
-    #: hit rebuild the generated module's namespace without the flat
-    #: spec.  ``None`` when any lift is a non-registry function (then
-    #: the entry is only usable through the flat-keyed path).
-    lifts: Optional[Dict[str, str]] = None
+    layout: Optional[Dict[str, Any]] = None
+    #: stream → lift recipe (see :func:`~repro.compiler.codegen.lift_recipe`);
+    #: lets a text-keyed hit rebuild the generated module's namespace
+    #: without the flat spec.  ``None`` when some lift has no recipe
+    #: (then the entry is only usable through the flat-keyed path).
+    lifts: Optional[Dict[str, Any]] = None
     #: The flat-keyed fingerprint of the same compilation, so monitors
     #: produced by a text-keyed hit share checkpoint identity with
     #: their cold-compiled twins.
     plan_key: Optional[str] = None
+    #: The engine the compilation resolved to (never ``"auto"``).
+    engine: Optional[str] = None
+
+
+def _valid_recipe(lifts: Any) -> bool:
+    return isinstance(lifts, dict) and all(
+        isinstance(stream, str)
+        and (
+            isinstance(recipe, str)
+            or (isinstance(recipe, list) and len(recipe) == 3)
+        )
+        for stream, recipe in lifts.items()
+    )
 
 
 class PlanCache:
-    """A directory of compiled-plan entries, shared and crash-safe."""
+    """A directory of compiled-plan entries, shared and crash-safe.
+
+    An entry is one file: a line of compact JSON (the plan, its key and
+    any alias key, and the byte lengths of the code payload), a
+    newline, then the payload — the generated source as UTF-8 followed
+    by the raw marshal'd code object.  It is written with a single
+    ``write`` and published with ``os.replace``.  An entry stored with
+    an *alias* key (the text-keyed twin of a flat-keyed compilation) is
+    hard-linked under that key too, so the second key costs no second
+    write.
+    """
 
     def __init__(self, directory: str) -> None:
+        # The directory is created by the first store: a lookup in a
+        # missing directory is just a miss.
         self.directory = os.path.expanduser(directory)
         self.hits = 0
         self.misses = 0
-        os.makedirs(self.directory, exist_ok=True)
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.directory, key[:40] + PLAN_SUFFIX)
@@ -230,36 +258,40 @@ class PlanCache:
     def load(self, key: str) -> Optional[CachedPlan]:
         """The cached plan for *key*, or ``None`` (miss/corrupt/stale)."""
         try:
-            with open(self.path_for(key)) as handle:
-                entry = json.load(handle)
+            with open(self.path_for(key), "rb") as handle:
+                data = handle.read()
+            head, _, payload = data.partition(b"\n")
+            entry = json.loads(head)
         except (OSError, ValueError):
             self._miss()
             return None
         try:
-            if entry["version"] != PLAN_CACHE_VERSION or entry["key"] != key:
+            if entry["version"] != PLAN_CACHE_VERSION or key not in (
+                entry["key"],
+                entry.get("alias"),
+            ):
                 self._miss()
                 return None
-            source = code = class_name = None
+            source = code = layout = None
+            source_len = entry.get("source_len")
+            code_len = entry.get("code_len")
             if (
-                entry.get("code")
-                and entry.get("magic") == CODE_MAGIC
-                and isinstance(entry.get("source"), str)
+                entry.get("magic") == CODE_MAGIC
+                and isinstance(source_len, int)
+                and isinstance(code_len, int)
+                and code_len > 0
+                and len(payload) == source_len + code_len
+                and isinstance(entry.get("layout"), dict)
             ):
                 try:
-                    code = base64.b64decode(entry["code"])
-                    source = entry["source"]
-                    class_name = entry.get("class_name")
-                except (ValueError, TypeError):
+                    source = payload[:source_len].decode("utf-8")
+                    code = payload[source_len:]
+                    layout = entry["layout"]
+                except UnicodeDecodeError:
                     # Corrupt code payload: still a valid plan-only hit.
-                    source = code = class_name = None
+                    source = code = layout = None
             lifts = entry.get("lifts")
-            if lifts is not None and not (
-                isinstance(lifts, dict)
-                and all(
-                    isinstance(k, str) and isinstance(v, str)
-                    for k, v in lifts.items()
-                )
-            ):
+            if lifts is not None and not _valid_recipe(lifts):
                 lifts = None
             plan = CachedPlan(
                 order=tuple(entry["order"]),
@@ -271,9 +303,10 @@ class PlanCache:
                 mutable=frozenset(entry["mutable"]),
                 source=source,
                 code=code,
-                class_name=class_name,
+                layout=layout,
                 lifts=lifts,
                 plan_key=entry.get("plan_key") or None,
+                engine=entry.get("engine") or None,
             )
         except (KeyError, TypeError, AttributeError):
             self._miss()
@@ -281,9 +314,12 @@ class PlanCache:
         self._hit()
         return plan
 
-    def store(self, key: str, plan: CachedPlan) -> str:
-        """Atomically persist *plan* under *key*; returns the path."""
-        entry = {
+    def store(
+        self, key: str, plan: CachedPlan, alias: Optional[str] = None
+    ) -> str:
+        """Atomically persist *plan* under *key* (and *alias*, when
+        given); returns the path of the *key* entry."""
+        entry: Dict[str, Any] = {
             "version": PLAN_CACHE_VERSION,
             "key": key,
             "order": list(plan.order),
@@ -293,21 +329,54 @@ class PlanCache:
             "optimized": plan.optimized,
             "mutable": sorted(plan.mutable),
         }
+        payload = b""
         if plan.code is not None and plan.source is not None:
+            source = plan.source.encode("utf-8")
+            payload = source + plan.code
             entry["magic"] = CODE_MAGIC
-            entry["source"] = plan.source
-            entry["code"] = base64.b64encode(plan.code).decode("ascii")
-            entry["class_name"] = plan.class_name
+            entry["layout"] = plan.layout
+            entry["source_len"] = len(source)
+            entry["code_len"] = len(plan.code)
         if plan.lifts is not None:
-            entry["lifts"] = dict(plan.lifts)
+            entry["lifts"] = plan.lifts
         if plan.plan_key is not None:
             entry["plan_key"] = plan.plan_key
+        if plan.engine is not None:
+            entry["engine"] = plan.engine
+        if alias is not None:
+            entry["alias"] = alias
+        data = json.dumps(entry, separators=(",", ":")).encode() + b"\n"
         path = self.path_for(key)
         tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "w") as handle:
-            json.dump(entry, handle, indent=1, sort_keys=True)
+        try:
+            handle = open(tmp_path, "wb")
+        except FileNotFoundError:
+            os.makedirs(self.directory, exist_ok=True)
+            handle = open(tmp_path, "wb")
+        with handle:
+            handle.write(data + payload)
+        if alias is not None:
+            self._publish_alias(tmp_path, self.path_for(alias), data + payload)
         os.replace(tmp_path, path)
         return path
+
+    @staticmethod
+    def _publish_alias(source: str, path: str, data: bytes) -> None:
+        """Make *path* another name of the entry file *source*: a hard
+        link (atomic, no second write), replacing any older entry there;
+        a copy where the filesystem has no hard links."""
+        try:
+            os.link(source, path)
+            return
+        except OSError:
+            pass  # an older entry is in the way, or no hard links here
+        tmp_path = f"{path}.tmp.{os.getpid()}"
+        try:
+            os.link(source, tmp_path)
+        except OSError:
+            with open(tmp_path, "wb") as handle:
+                handle.write(data)
+        os.replace(tmp_path, path)
 
     def entries(self) -> List[str]:
         """Paths of all entries currently in the cache directory."""

@@ -331,6 +331,30 @@ def validate_value(value: Any, expected: Optional[ty.Type]) -> bool:
 # -- the hardened event-loop driver ------------------------------------------
 
 
+def _counting_output(
+    report: RunReport, on_output: Optional[Callable[[str, int, Any], None]]
+) -> Callable[[str, int, Any], None]:
+    """The monitor's output callback: count, then forward.
+
+    It holds the report, not the runner: a callback bound to the runner
+    would close a runner → monitor → runner cycle, and every dropped
+    runner (with its monitor's state) would then wait for the cyclic
+    garbage collector instead of being freed at once.
+    """
+    if on_output is None:
+
+        def emit(name: str, ts: int, value: Any) -> None:
+            report.events_out += 1
+
+    else:
+
+        def emit(name: str, ts: int, value: Any) -> None:
+            report.events_out += 1
+            on_output(name, ts, value)
+
+    return emit
+
+
 class MonitorRunner:
     """Drives a compiled monitor with validation, checkpoints, recovery.
 
@@ -369,8 +393,9 @@ class MonitorRunner:
         #: with ``validate_inputs=False`` never force a deferred flat
         #: spec (text-keyed plan-cache hits skip parsing entirely).
         self._types: Optional[Dict[str, ty.Type]] = None
-        self._user_output = on_output or (lambda name, ts, value: None)
-        self.monitor = compiled.new_monitor(self._emit)
+        self.monitor = compiled.new_monitor(
+            _counting_output(self.report, on_output)
+        )
         # Unify the generated code's error counters with ours.
         self.monitor._report = self.report
         self.report.plan_cache_hit = getattr(
@@ -409,12 +434,6 @@ class MonitorRunner:
                 keep=checkpoint_keep,
                 fingerprint=fingerprint,
             )
-
-    # -- output path -----------------------------------------------------
-
-    def _emit(self, name: str, ts: int, value: Any) -> None:
-        self.report.events_out += 1
-        self._user_output(name, ts, value)
 
     def _expected_type(self, name: str) -> Any:
         if self._types is None:

@@ -107,8 +107,8 @@ class VectorClassification:
     triples) runs eagerly; the family verdicts need
     :func:`~repro.compiler.families.partition_spec` and are built on
     first access, so an ``auto`` compile whose outputs already carry an
-    ineligibility reason resolves to the plan engine without computing
-    the families.
+    ineligibility reason resolves to the codegen engine without
+    computing the families.
     """
 
     flat: FlatSpec = field(repr=False, compare=False)
@@ -192,22 +192,23 @@ class VectorClassification:
     @property
     def auto_engine(self) -> str:
         """Engine ``engine="auto"`` resolves to: vector iff every
-        output-owning family is eligible (and numpy is importable)."""
+        output-owning family is eligible (and numpy is importable),
+        else codegen."""
         if not self.numpy_ok or self.error_mode:
-            return "plan"
-        # An ineligible output demotes its own family: plan, whatever
+            return "codegen"
+        # An ineligible output demotes its own family: codegen, whatever
         # the other families would say.
         if any(out in self.reasons for out in self.flat.outputs):
-            return "plan"
+            return "codegen"
         if not self.eligible:
-            return "plan"
+            return "codegen"
         for verdict in self.verdicts:
             if verdict.outputs and not verdict.eligible:
-                return "plan"
+                return "codegen"
         return "vector"
 
     def diagnostics(self) -> List[Any]:
-        """VEC00x NOTE diagnostics explaining any plan fallback."""
+        """VEC00x NOTE diagnostics explaining any scalar fallback."""
         from ..analysis.diagnostics import Diagnostic, Severity
 
         out: List[Any] = []
@@ -219,7 +220,7 @@ class VectorClassification:
                     stream="",
                     message=(
                         "numpy is not importable: engine='auto' resolves to"
-                        " the plan engine (install the 'vector' extra)"
+                        " the codegen engine (install the 'vector' extra)"
                     ),
                     source="vector",
                     witness={"rule": "numpy-missing"},
@@ -242,7 +243,9 @@ class VectorClassification:
                     severity=Severity.NOTE,
                     stream=anchor,
                     message=(
-                        "family falls back to the plan engine — " + detail
+                        "family is not vector-eligible (engine='auto'"
+                        " compiles the spec with codegen; engine='vector'"
+                        " runs this family on plan ops) — " + detail
                     ),
                     source="vector",
                     witness={

@@ -40,8 +40,12 @@ KEYWORDS = {
     "default",
 }
 
+#: One token, with the blanks before it.  The blanks are not a token of
+#: their own, so each token costs one match.
 _TOKEN_RE = re.compile(
     r"""
+    [ \t\r]*
+    (?:
       (?P<comment>\#[^\n]*|--[^\n]*)
     | (?P<float>\d+\.\d+([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
     | (?P<int>\d+)
@@ -49,38 +53,46 @@ _TOKEN_RE = re.compile(
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<symbol>:=|==|!=|<=|>=|&&|\|\||[()\[\],:<>+\-*/%!=])
     | (?P<newline>\n)
-    | (?P<space>[ \t\r]+)
+    )
     """,
     re.VERBOSE,
 )
+
+_BLANKS = " \t\r"
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize *text*; raises :class:`FrontendError` on stray characters."""
     tokens: List[Token] = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
     line, line_start = 1, 0
     position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
+    end = len(text)
+    while position < end:
+        match = match_at(text, position)
         if match is None:
+            rest = text[position:].lstrip(_BLANKS)
+            if not rest:
+                position = end
+                break
+            position = end - len(rest)
             raise FrontendError(
-                f"unexpected character {text[position]!r}",
+                f"unexpected character {rest[0]!r}",
                 line,
                 position - line_start + 1,
             )
         kind = match.lastgroup
-        value = match.group()
-        column = position - line_start + 1
-        if kind == "newline":
-            tokens.append(Token("newline", value, line, column))
-            line += 1
-            line_start = match.end()
-        elif kind in ("space", "comment"):
-            pass
-        elif kind == "name" and value in KEYWORDS:
-            tokens.append(Token(value, value, line, column))
-        else:
-            tokens.append(Token(kind, value, line, column))
+        start = match.start(kind)
+        value = match.group(kind)
         position = match.end()
-    tokens.append(Token("eof", "", line, position - line_start + 1))
+        if kind == "newline":
+            append(Token("newline", value, line, start - line_start + 1))
+            line += 1
+            line_start = position
+        elif kind != "comment":
+            if kind == "name" and value in KEYWORDS:
+                kind = value
+            append(Token(kind, value, line, start - line_start + 1))
+    append(Token("eof", "", line, position - line_start + 1))
     return tokens

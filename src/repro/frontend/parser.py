@@ -71,16 +71,18 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = tokenize(text)
         self.position = 0
+        #: The token at ``position`` (the stream always ends with eof).
+        self.current: Token = self.tokens[0]
 
     # -- token plumbing ----------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.position]
 
     def advance(self) -> Token:
         token = self.current
         self.position += 1
+        try:
+            self.current = self.tokens[self.position]
+        except IndexError:
+            pass  # past eof: current stays eof
         return token
 
     def expect(self, kind: str) -> Token:
@@ -151,11 +153,18 @@ class _Parser:
         ("*", "/", "%"),
     ]
 
-    def parse_binary(self, level: int) -> Expr:
+    def parse_binary(self, level: int, first: Optional[Expr] = None) -> Expr:
+        """Operators of *level* and tighter; *first* is an already
+        parsed leftmost operand."""
+        if first is None:
+            first = self.parse_unary()
+            token = self.current
+            if not (token.kind == "symbol" and token.text in _BINARY_OPS):
+                return first  # a lone operand: skip the precedence levels
         if level >= len(self._PRECEDENCE):
-            return self.parse_unary()
+            return first
         operators = self._PRECEDENCE[level]
-        left = self.parse_binary(level + 1)
+        left = self.parse_binary(level + 1, first)
         while self.current.kind == "symbol" and self.current.text in operators:
             op = self.advance().text
             right = self.parse_binary(level + 1)

@@ -83,6 +83,14 @@ class UsageGraph:
         self._out: Dict[str, List[Edge]] = {n: [] for n in self.nodes}
         self._in: Dict[str, List[Edge]] = {n: [] for n in self.nodes}
         self._build()
+        # The Pass/Last adjacency the aliasing analysis walks, filtered once.
+        pl = (EdgeClass.PASS, EdgeClass.LAST)
+        self._pl_out = {
+            n: [e for e in edges if e.cls in pl] for n, edges in self._out.items()
+        }
+        self._pl_in = {
+            n: [e for e in edges if e.cls in pl] for n, edges in self._in.items()
+        }
 
     # -- construction -------------------------------------------------------
 
@@ -137,8 +145,7 @@ class UsageGraph:
         return list(self._in[node])
 
     def edges_of_class(self, *classes: EdgeClass) -> Iterator[Edge]:
-        wanted = set(classes)
-        return (e for e in self.edges if e.cls in wanted)
+        return (e for e in self.edges if e.cls in classes)
 
     @property
     def write_edges(self) -> List[Edge]:
@@ -157,18 +164,10 @@ class UsageGraph:
     def pl_out_edges(self, node: str) -> List[Edge]:
         """Outgoing Pass/Last edges — the edges along which the *same*
         event/data structure propagates (Def. 6 path alphabet)."""
-        return [
-            e
-            for e in self._out[node]
-            if e.cls in (EdgeClass.PASS, EdgeClass.LAST)
-        ]
+        return self._pl_out[node]
 
     def pl_in_edges(self, node: str) -> List[Edge]:
-        return [
-            e
-            for e in self._in[node]
-            if e.cls in (EdgeClass.PASS, EdgeClass.LAST)
-        ]
+        return self._pl_in[node]
 
     def pl_ancestors(self, node: str) -> Set[str]:
         """All nodes that reach *node* via Pass/Last edges (incl. itself)."""

@@ -307,9 +307,14 @@ def walk(expr: Expr) -> Iterator[Expr]:
 
 def free_vars(expr: Expr) -> Iterator[str]:
     """Yield the names of all stream references in *expr* (with repeats)."""
-    for node in walk(expr):
-        if isinstance(node, Var):
-            yield node.name
+    if isinstance(expr, Var):
+        yield expr.name
+        return
+    for child in expr.children():
+        if child.__class__ is Var:
+            yield child.name
+        else:
+            yield from free_vars(child)
 
 
 def is_basic(expr: Expr) -> bool:

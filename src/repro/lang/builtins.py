@@ -106,6 +106,8 @@ class LiftedFunction:
         "scala_template",
         "scala_option_template",
         "metric_name",
+        "constant",
+        "_type_vars",
     )
 
     def __init__(
@@ -138,6 +140,10 @@ class LiftedFunction:
         #: Optional counter name bumped per invocation when the monitor
         #: runs instrumented (see :func:`repro.obs.metrics.instrument_lift`).
         self.metric_name = metric_name
+        #: ``(value, value_type)`` for the lifted constants built by
+        #: :func:`const_fn`, else ``None``.
+        self.constant: Optional[Tuple[Any, Type]] = None
+        self._type_vars: Optional[Tuple[TypeVar, ...]] = None
 
     @property
     def trigger(self) -> TriggerSpec:
@@ -158,10 +164,19 @@ class LiftedFunction:
 
     def instantiate(self, suffix: str) -> Tuple[Tuple[Type, ...], Type]:
         """Return (argument types, result type) with fresh type variables."""
-        binding: Dict[TypeVar, Type] = {}
-        for ty_ in self.arg_types + (self.result_type,):
-            for var in ty.type_vars(ty_):
-                binding.setdefault(var, TypeVar(f"{var.name}#{suffix}"))
+        if self._type_vars is None:
+            self._type_vars = tuple(
+                dict.fromkeys(
+                    var
+                    for ty_ in self.arg_types + (self.result_type,)
+                    for var in ty.type_vars(ty_)
+                )
+            )
+        if not self._type_vars:
+            return self.arg_types, self.result_type
+        binding: Dict[TypeVar, Type] = {
+            var: TypeVar(f"{var.name}#{suffix}") for var in self._type_vars
+        }
         args = tuple(ty.substitute(t, binding) for t in self.arg_types)
         return args, ty.substitute(self.result_type, binding)
 
@@ -365,7 +380,7 @@ def const_fn(value: Any, value_type: Optional[Type] = None) -> LiftedFunction:
     by the desugaring of :class:`repro.lang.ast.Const`.
     """
     result = value_type if value_type is not None else ty.type_of_value(value)
-    return LiftedFunction(
+    func = LiftedFunction(
         f"const({value!r})",
         EventPattern.ALL,
         (_N,),
@@ -373,6 +388,8 @@ def const_fn(value: Any, value_type: Optional[Type] = None) -> LiftedFunction:
         result,
         _simple(lambda _u, _value=value: _value),
     )
+    func.constant = (value, result)
+    return func
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ class FlatSpec:
             if not is_flat(expr):
                 raise SpecError(f"definition of {name!r} is not flat: {expr}")
 
-    def dependencies(self, name: str) -> List[str]:
-        """Streams the definition of *name* references (with repeats)."""
-        return list(free_vars(self.definitions[name]))
-
     def special_dependencies(self, name: str) -> Set[str]:
         """First-parameter dependencies of ``last``/``delay`` (S edges)."""
         expr = self.definitions[name]
@@ -153,12 +149,14 @@ class FlatSpec:
         then).
         """
         non_special: Dict[str, Set[str]] = {}
-        for name in self.definitions:
+        definitions = self.definitions
+        for name, expr in definitions.items():
+            # flat: every child is a Var (checked before this runs)
             special = self.special_dependencies(name)
             non_special[name] = {
-                dep
-                for dep in self.dependencies(name)
-                if dep not in special and dep in self.definitions
+                child.name
+                for child in expr.children()
+                if child.name not in special and child.name in definitions
             }
         state: Dict[str, int] = {}  # 0 visiting, 1 done
 

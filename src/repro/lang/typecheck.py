@@ -26,14 +26,22 @@ from .spec import FlatSpec, SpecError
 from .types import INT, UNIT, Type, TypeVar
 
 
-def _stream_var(name: str) -> TypeVar:
-    return TypeVar(f"${name}")
+class _StreamVars(dict):
+    """stream name → its type variable, created on first use."""
+
+    def __missing__(self, name: str) -> TypeVar:
+        var = self[name] = TypeVar(f"${name}")
+        return var
 
 
 def _constrain(
-    flat: FlatSpec, name: str, expr: Expr, binding: Dict[TypeVar, Type]
+    flat: FlatSpec,
+    name: str,
+    expr: Expr,
+    binding: Dict[TypeVar, Type],
+    stream_var: _StreamVars,
 ) -> None:
-    this = _stream_var(name)
+    this = stream_var[name]
     try:
         if isinstance(expr, Nil):
             ty.unify(this, expr.type, binding)
@@ -49,12 +57,12 @@ def _constrain(
                     f" argument(s), got {len(expr.args)}"
                 )
             for arg, expected in zip(expr.args, arg_types):
-                ty.unify(_stream_var(arg.name), expected, binding)
+                ty.unify(stream_var[arg.name], expected, binding)
             ty.unify(this, result, binding)
         elif isinstance(expr, Last):
-            ty.unify(this, _stream_var(expr.value.name), binding)
+            ty.unify(this, stream_var[expr.value.name], binding)
         elif isinstance(expr, Delay):
-            ty.unify(_stream_var(expr.delay.name), INT, binding)
+            ty.unify(stream_var[expr.delay.name], INT, binding)
             ty.unify(this, UNIT, binding)
         else:  # pragma: no cover - FlatSpec guarantees basic operators
             raise SpecError(f"{name}: unexpected operator {expr!r}")
@@ -75,19 +83,20 @@ def _reject_nested_complex(name: str, resolved: Type) -> None:
 def check_types(flat: FlatSpec) -> Dict[str, Type]:
     """Infer and validate all stream types; store them on ``flat.types``."""
     binding: Dict[TypeVar, Type] = {}
+    stream_var = _StreamVars()
     for name, input_type in flat.inputs.items():
-        ty.unify(_stream_var(name), input_type, binding)
+        ty.unify(stream_var[name], input_type, binding)
     for name, annotation in flat.type_annotations.items():
         try:
-            ty.unify(_stream_var(name), annotation, binding)
+            ty.unify(stream_var[name], annotation, binding)
         except ty.TypeError_ as exc:
             raise SpecError(f"annotation mismatch for {name!r}: {exc}") from None
     for name, expr in flat.definitions.items():
-        _constrain(flat, name, expr, binding)
+        _constrain(flat, name, expr, binding, stream_var)
 
     resolved: Dict[str, Type] = {}
     for name in flat.streams:
-        result = ty.substitute(_stream_var(name), binding)
+        result = ty.substitute(stream_var[name], binding)
         leftover = list(ty.type_vars(result))
         if leftover:
             raise SpecError(

@@ -46,7 +46,7 @@ class _Primitive(Type):
         return isinstance(other, _Primitive) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash(("prim", self.name))
+        return hash(self.name)
 
 
 INT = _Primitive("Int")
@@ -79,7 +79,7 @@ class TypeVar(Type):
         return isinstance(other, TypeVar) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return hash(self.name)
 
 
 class _Parametric(Type):
@@ -232,7 +232,7 @@ def unify(a: Type, b: Type, binding: Dict[TypeVar, Type]) -> None:
     if a == b:
         return
     if isinstance(a, TypeVar):
-        if a in set(type_vars(b)):
+        if isinstance(b, _Parametric) and a in set(type_vars(b)):
             raise TypeError_(f"occurs check failed: {a} in {b}")
         binding[a] = b
         return

@@ -274,3 +274,39 @@ class TestCrossEngineResume:
         api.run(codegen, events, on_output=lambda *event: fresh.append(event))
         assert metas == [None]
         assert resumed and resumed == fresh
+
+    def test_auto_skips_checkpoint_of_plan_resolved_auto(self, tmp_path):
+        """``auto`` used to resolve scalar specs to ``plan``; it now
+        resolves them to ``codegen``.  A checkpoint an older ``auto``
+        run wrote carries the plan fingerprint (an explicit ``plan``
+        compile has the same one), so resuming under today's ``auto``
+        skips it and starts fresh instead of misreading slot state."""
+        from repro import api
+        from repro.compiler.checkpoint import list_checkpoints
+
+        events = [(t, "i", t % 5) for t in range(1, 60)]
+        older_auto = api.compile(seen_set(), api.CompileOptions(engine="plan"))
+        auto = api.compile(seen_set())
+        assert auto.engine_resolved == "codegen"
+        assert auto.fingerprint != older_auto.fingerprint
+
+        directory = str(tmp_path)
+        api.run(
+            older_auto,
+            events[:40],
+            api.RunOptions(checkpoint_dir=directory, checkpoint_every=10),
+        )
+        assert list_checkpoints(directory)
+
+        metas, resumed, fresh = [], [], []
+        report = api.run(
+            auto,
+            events,
+            api.RunOptions(checkpoint_dir=directory, resume=True),
+            on_output=lambda *event: resumed.append(event),
+            on_resume=metas.append,
+        )
+        api.run(auto, events, on_output=lambda *event: fresh.append(event))
+        assert metas == [None]
+        assert report.resumed_from is None
+        assert resumed and resumed == fresh

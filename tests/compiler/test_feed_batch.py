@@ -3,8 +3,8 @@
 The batch path must be event-for-event identical to the per-event
 ``push`` loop (and hence to the reference interpreter) on every
 engine, every batch size, and every paper-figure spec — including
-specs with ``delay`` streams, which take the generic
-``MonitorBase.feed_batch`` fallback instead of the generated override.
+specs with ``delay`` streams, whose delay timestamps the codegen
+engine interleaves with the batch's rows.
 """
 
 import random
@@ -133,13 +133,16 @@ class TestBatchEqualsPush:
             build_compiled_spec(seen_set(), engine=engine), events
         )
 
-    def test_generated_override_present_for_delay_free_specs(self):
-        compiled = build_compiled_spec(seen_set())
-        assert "def feed_batch" in compiled.source
+    def test_batch_loop_is_shared_not_generated(self):
+        from repro.compiler.codegen import CodegenMonitorBase
 
-    def test_no_generated_override_for_delay_specs(self):
-        compiled = build_compiled_spec(watchdog(5))
-        assert "def feed_batch" not in compiled.source
+        for factory in (seen_set, lambda: watchdog(5)):
+            compiled = build_compiled_spec(factory())
+            assert "def feed_batch" not in compiled.source
+            assert (
+                compiled.monitor_class.feed_batch
+                is CodegenMonitorBase.feed_batch
+            )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_batch_composes_with_push_and_advance(self, engine):
@@ -226,6 +229,94 @@ class TestBatchProtocolErrors:
         monitor.advance(10)  # flushes t=5; the calculation frontier is 5
         with pytest.raises(MonitorError, match="arrived after"):
             monitor.feed_batch([(3, "i", 3)])
+
+
+def _boom_spec(with_delay):
+    """``x := boom(i)`` (raises on 3) as output, plus a delay it arms."""
+    from repro.lang import Delay, Lift, Specification, TimeExpr, Var
+    from repro.lang.builtins import pointwise
+    from repro.lang.types import INT
+
+    def boom(value):
+        if value == 3:
+            raise ValueError("boom")
+        return 2
+
+    definitions = {"x": Lift(pointwise("boom", boom, (INT,), INT), (Var("i"),))}
+    outputs = ["x"]
+    if with_delay:
+        definitions["a"] = Delay(Var("x"), Var("i"))
+        definitions["at"] = TimeExpr(Var("a"))
+        outputs.append("at")
+    return Specification(
+        inputs={"i": INT}, definitions=definitions, outputs=outputs
+    )
+
+
+class TestBatchCalculationErrors:
+    """An exception raised by the calculation inside a codegen
+    ``feed_batch`` stops the monitor: the batch's events are consumed
+    by then, so no later call could continue from a push loop's state."""
+
+    EVENTS = [(1, "i", 1), (2, "i", 2), (5, "i", 3), (6, "i", 4), (7, "i", 5)]
+
+    @pytest.mark.parametrize("with_delay", [False, True], ids=["plain", "delay"])
+    def test_lift_raising_mid_batch_stops_the_monitor(self, with_delay):
+        on_output, collected = collecting_callback()
+        monitor = build_compiled_spec(
+            _boom_spec(with_delay), engine="codegen"
+        ).new_monitor(on_output)
+        with pytest.raises(ValueError, match="boom"):
+            monitor.feed_batch(self.EVENTS)
+        # the rows before the failing one ran, as in a push loop
+        assert collected["x"] == [(1, 2), (2, 2)]
+        if with_delay:
+            assert collected["at"] == [(4, 4)]
+        for call in (
+            lambda: monitor.push("i", 9, 1),
+            lambda: monitor.feed_batch([(9, "i", 1)]),
+            lambda: monitor.advance(9),
+            lambda: monitor.finish(),
+        ):
+            with pytest.raises(
+                MonitorError, match="after feed_batch\\(\\) raised ValueError"
+            ):
+                call()
+
+    def test_output_callback_raising_stops_the_monitor(self):
+        def on_output(name, ts, value):
+            if ts == 2:
+                raise RuntimeError("sink full")
+
+        monitor = build_compiled_spec(
+            _boom_spec(False), engine="codegen"
+        ).new_monitor(on_output)
+        with pytest.raises(RuntimeError, match="sink full"):
+            monitor.feed_batch([(1, "i", 1), (2, "i", 1), (4, "i", 1)])
+        with pytest.raises(MonitorError, match="raised RuntimeError"):
+            monitor.finish()
+
+    def test_calculation_error_wins_over_pending_protocol_error(self):
+        # A push loop calculates t=1 (and raises) before it sees the
+        # out-of-order event at t=0.
+        monitor = build_compiled_spec(
+            _boom_spec(False), engine="codegen"
+        ).new_monitor()
+        with pytest.raises(ValueError) as raised:
+            monitor.feed_batch([(1, "i", 3), (2, "i", 1), (0, "i", 1)])
+        assert isinstance(raised.value.__context__, MonitorError)
+
+    def test_protocol_error_alone_keeps_the_monitor_usable(self):
+        on_output, collected = collecting_callback()
+        monitor = build_compiled_spec(
+            _boom_spec(True), engine="codegen"
+        ).new_monitor(on_output)
+        with pytest.raises(MonitorError, match="unknown input stream"):
+            monitor.feed_batch([(1, "i", 1), (2, "i", 1), (3, "nope", 1)])
+        monitor.feed_batch([(8, "i", 1)])
+        monitor.finish()
+        assert collected["x"] == [(1, 2), (2, 2), (8, 2)]
+        assert collected["at"] == [(4, 4), (10, 10)]
 
 
 class TestBatchEventsHelper:

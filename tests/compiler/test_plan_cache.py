@@ -126,6 +126,18 @@ class TestCacheRoundtrip:
         assert Backend.MUTABLE not in other.backends.values()
 
 
+def read_entry(path):
+    """(header dict, payload bytes) of a cache entry file."""
+    with open(path, "rb") as handle:
+        head, _, payload = handle.read().partition(b"\n")
+    return json.loads(head), payload
+
+
+def write_entry(path, header, payload=b""):
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode() + b"\n" + payload)
+
+
 class TestCacheRobustness:
     def _prime(self, tmp_path):
         cache = PlanCache(str(tmp_path))
@@ -142,11 +154,9 @@ class TestCacheRobustness:
 
     def test_wrong_key_is_a_miss(self, tmp_path):
         cache, entry = self._prime(tmp_path)
-        with open(entry) as handle:
-            data = json.load(handle)
+        data, payload = read_entry(entry)
         data["key"] = "0" * 64
-        with open(entry, "w") as handle:
-            json.dump(data, handle)
+        write_entry(entry, data, payload)
         assert (
             build_compiled_spec(seen_set(), plan_cache=cache).plan_cache_hit
             is False
@@ -154,11 +164,9 @@ class TestCacheRobustness:
 
     def test_stale_version_is_a_miss(self, tmp_path):
         cache, entry = self._prime(tmp_path)
-        with open(entry) as handle:
-            data = json.load(handle)
+        data, payload = read_entry(entry)
         data["version"] = 0
-        with open(entry, "w") as handle:
-            json.dump(data, handle)
+        write_entry(entry, data, payload)
         assert (
             build_compiled_spec(seen_set(), plan_cache=cache).plan_cache_hit
             is False
@@ -166,11 +174,9 @@ class TestCacheRobustness:
 
     def test_bad_backend_name_is_a_miss(self, tmp_path):
         cache, entry = self._prime(tmp_path)
-        with open(entry) as handle:
-            data = json.load(handle)
+        data, payload = read_entry(entry)
         data["backends"] = {k: "NOPE" for k in data["backends"]}
-        with open(entry, "w") as handle:
-            json.dump(data, handle)
+        write_entry(entry, data, payload)
         assert (
             build_compiled_spec(seen_set(), plan_cache=cache).plan_cache_hit
             is False
@@ -366,7 +372,8 @@ class TestTextKeyedFastPath:
 
         cache = PlanCache(str(tmp_path))
         api.compile(SEEN_SET_TEXT, api.CompileOptions(plan_cache=cache))
-        key = text_fingerprint(SEEN_SET_TEXT)
+        key = text_fingerprint(SEEN_SET_TEXT, engine="auto")
+        assert os.path.exists(cache.path_for(key))
         with open(cache.path_for(key), "w") as handle:
             handle.write("garbage")
         events = self._events()
@@ -382,7 +389,13 @@ class TestTextKeyedFastPath:
 
         assert (
             monitor_class_from_recipe(
-                {"y": "no_such_builtin"}, {}, "", b"garbage"
+                {"y": "no_such_builtin"}, {}, "", b"garbage", {}
+            )
+            is None
+        )
+        assert (
+            monitor_class_from_recipe(
+                {"y": ["const", [1], "Int"]}, {}, "", b"garbage", {}
             )
             is None
         )
@@ -401,11 +414,8 @@ class TestCachedCodeObjects:
         cache = PlanCache(str(tmp_path))
         build_compiled_spec(seen_set(), plan_cache=cache)
         [entry] = cache.entries()
-        with open(entry) as handle:
-            data = json.load(handle)
-        data["code"] = "!!!not-base64!!!"
-        with open(entry, "w") as handle:
-            json.dump(data, handle)
+        data, payload = read_entry(entry)
+        write_entry(entry, data, b"!" * len(payload))
         warm = build_compiled_spec(seen_set(), plan_cache=cache)
         # Still a hit (the plan part is intact), and the class was
         # regenerated from source instead of the broken payload.
@@ -418,19 +428,205 @@ class TestCachedCodeObjects:
         cache = PlanCache(str(tmp_path))
         build_compiled_spec(seen_set(), plan_cache=cache)
         [entry] = cache.entries()
-        with open(entry) as handle:
-            data = json.load(handle)
+        data, payload = read_entry(entry)
         data["magic"] = "00000000"
-        with open(entry, "w") as handle:
-            json.dump(data, handle)
+        write_entry(entry, data, payload)
         warm = build_compiled_spec(seen_set(), plan_cache=cache)
         assert warm.plan_cache_hit is True
-        assert "class" in warm.source
+        assert "def _calc_rows(self, rows," in warm.source
 
-    def test_class_name_mismatch_regenerates(self, tmp_path):
-        build_compiled_spec(seen_set(), plan_cache=str(tmp_path))
+    def test_class_name_applies_to_cached_code(self, tmp_path):
+        cold = build_compiled_spec(seen_set(), plan_cache=str(tmp_path))
         other = build_compiled_spec(
             seen_set(), plan_cache=str(tmp_path), class_name="SeenSetMonitor"
         )
         assert other.plan_cache_hit is True
         assert other.monitor_class.__name__ == "SeenSetMonitor"
+        assert other.source == cold.source
+
+
+class TestEntryFormat:
+    """One file per entry: a JSON header line, then raw source + marshal."""
+
+    def test_payload_is_raw_marshal(self, tmp_path):
+        import marshal
+        import types
+
+        cache = PlanCache(str(tmp_path))
+        cold = build_compiled_spec(seen_set(), plan_cache=cache)
+        [entry] = cache.entries()
+        header, payload = read_entry(entry)
+        assert header["engine"] == "codegen"
+        source_len, code_len = header["source_len"], header["code_len"]
+        assert len(payload) == source_len + code_len
+        assert payload[:source_len].decode() == cold.source
+        assert isinstance(marshal.loads(payload[source_len:]), types.CodeType)
+        assert "code" not in header and "source" not in header
+
+    def test_text_key_shares_the_flat_entry(self, tmp_path):
+        from repro import api
+
+        cache = PlanCache(str(tmp_path))
+        api.compile(SEEN_SET_TEXT, api.CompileOptions(plan_cache=cache))
+        first, second = cache.entries()
+        # One write: the text-keyed name is a hard link to the entry.
+        assert os.path.samefile(first, second)
+        assert read_entry(first)[0]["alias"]
+
+    def test_alias_is_copied_without_hard_links(self, tmp_path, monkeypatch):
+        from repro import api
+
+        def no_links(*args, **kwargs):
+            raise OSError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_links)
+        cache = PlanCache(str(tmp_path))
+        opts = api.CompileOptions(plan_cache=cache)
+        api.compile(SEEN_SET_TEXT, opts)
+        first, second = cache.entries()
+        assert not os.path.samefile(first, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+        assert api.compile(SEEN_SET_TEXT, opts).plan_cache_hit is True
+
+    def test_entry_without_layout_is_plan_only(self, tmp_path):
+        cache = PlanCache(str(tmp_path))
+        build_compiled_spec(seen_set(), plan_cache=cache)
+        [entry] = cache.entries()
+        data, payload = read_entry(entry)
+        del data["layout"]
+        write_entry(entry, data, payload)
+        warm = build_compiled_spec(seen_set(), plan_cache=cache)
+        assert warm.plan_cache_hit is True
+        assert cache.load(data["key"]).code is None
+
+    def test_missing_directory_is_created_by_store(self, tmp_path):
+        cache = PlanCache(str(tmp_path / "a" / "b"))
+        assert cache.load("0" * 64) is None
+        cold = build_compiled_spec(seen_set(), plan_cache=cache)
+        assert cold.plan_cache_hit is False
+        assert len(cache.entries()) == 1
+
+
+def _fail_parse(monkeypatch):
+    import repro.frontend
+
+    def refuse(text):
+        raise AssertionError("parse_spec called on a warm text hit")
+
+    monkeypatch.setattr(repro.frontend, "parse_spec", refuse)
+
+
+#: The paper's Table I DBTimeConstraint: its ``60`` literal is a const lift.
+FLEET_TEXT = """\
+in db2: Int
+in db3: Int
+def tick := merge(db2, db3)
+def m_m := merge(m, map_empty(unit))
+def m_l := last(m_m, tick)
+def tins := map_get_or(m_l, db3, db3 - db3)
+def ok := slift(leq, time(db3) - tins, 60)
+def m := map_put_if(m_l, db2, time(tick))
+out ok
+"""
+
+
+def _db_time_events(seed, length=300):
+    """Inserts into db2, then into db3 after a random delay."""
+    import random
+
+    rng = random.Random(seed)
+    events, ts = [], 0
+    for record in range(length):
+        ts += rng.randint(1, 5)
+        events.append((ts, "db2", record))
+        ts += rng.randint(1, 90)
+        events.append((ts, "db3", record))
+    return events
+
+
+class TestAutoTextPath:
+    """Default options (``engine="auto"``) take the text-keyed path."""
+
+    def _outputs(self, monitor, events):
+        from repro import api
+
+        collected = []
+        api.run(
+            monitor,
+            events,
+            api.RunOptions(batch_size=64),
+            on_output=lambda n, t, v: collected.append((n, t, v)),
+        )
+        return collected
+
+    def test_warm_auto_compile_skips_the_frontend(self, tmp_path, monkeypatch):
+        from repro import api
+
+        events = [(t, "i", t % 7) for t in range(1, 80)]
+        opts = api.CompileOptions(plan_cache=str(tmp_path))
+        cold = api.compile(SEEN_SET_TEXT, opts)
+        assert cold.engine_resolved == "codegen"
+        _fail_parse(monkeypatch)
+        warm = api.compile(SEEN_SET_TEXT, opts)
+        assert warm.plan_cache_hit is True
+        assert (warm.engine_requested, warm.engine_resolved) == (
+            "auto",
+            "codegen",
+        )
+        assert warm.fingerprint == cold.fingerprint
+        assert self._outputs(warm, events) == self._outputs(cold, events)
+        monkeypatch.undo()
+        assert [d.code for d in warm.diagnostics()] == [
+            d.code for d in cold.diagnostics()
+        ]
+
+    def test_const_lifts_take_the_text_path(self, tmp_path, monkeypatch):
+        from repro import api
+        from repro.compiler.codegen import lift_recipe
+
+        cold = api.compile(
+            FLEET_TEXT, api.CompileOptions(plan_cache=str(tmp_path))
+        )
+        recipe = lift_recipe(cold.compiled.flat)
+        assert ["const", 60, "Int"] in recipe.values()
+        _fail_parse(monkeypatch)
+        warm = api.compile(
+            FLEET_TEXT, api.CompileOptions(plan_cache=str(tmp_path))
+        )
+        assert warm.plan_cache_hit is True
+        for seed in (1, 2):
+            events = _db_time_events(seed)
+            assert self._outputs(warm, events) == self._outputs(cold, events)
+
+    def test_non_literal_const_has_no_recipe(self):
+        from repro.compiler.codegen import lift_recipe
+        from repro.lang import Const, INT, Lift, Specification, Var
+        from repro.lang.builtins import builtin
+
+        spec = Specification(
+            inputs={"i": INT},
+            definitions={"x": Lift(builtin("add"), (Var("i"), Const(2)))},
+            outputs=["x"],
+        )
+        flat = flatten(spec)
+        assert lift_recipe(flat) is not None
+        const = next(
+            e.func for e in flat.definitions.values()
+            if getattr(e, "func", None) is not None and e.func.constant
+        )
+        const.constant = ((1, 2), const.constant[1])
+        assert lift_recipe(flat) is None
+
+    def test_vector_resolving_spec_compiles_warm(self, tmp_path):
+        pytest.importorskip("numpy")
+        from repro import api
+
+        text = "in i: Int\ndef prev := last(i, i)\ndef d := sub(i, prev)\nout d\n"
+        opts = api.CompileOptions(plan_cache=str(tmp_path))
+        cold = api.compile(text, opts)
+        warm = api.compile(text, opts)
+        assert cold.engine_resolved == warm.engine_resolved == "vector"
+        assert warm.plan_cache_hit is True
+        events = [(t, "i", t * t % 11) for t in range(1, 50)]
+        assert self._outputs(warm, events) == self._outputs(cold, events)

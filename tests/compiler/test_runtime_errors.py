@@ -317,7 +317,7 @@ class TestZeroOverheadWhenDisabled:
     def test_generated_source_identical_without_policy(self):
         spec = parse_spec(CHAIN_SPEC)
         plain = build_compiled_spec(spec).source
-        assert "rep" not in plain.split("def _calc")[1].splitlines()[0]
+        assert "rep" not in plain.split("def _calc_rows")[1].splitlines()[0]
         assert "_report" not in plain
         hardened = build_compiled_spec(spec, error_policy="propagate").source
         assert "rep = self._report" in hardened
@@ -330,3 +330,25 @@ class TestZeroOverheadWhenDisabled:
         assert a.error_policy is b.error_policy is ErrorPolicy.PROPAGATE
         with pytest.raises(ValueError):
             build_compiled_spec(spec, error_policy="bogus")
+
+
+class TestRunnerLifetime:
+    @pytest.mark.parametrize("on_output", [None, lambda n, t, v: None])
+    def test_dropped_runner_is_freed_without_the_cycle_collector(
+        self, on_output
+    ):
+        import gc
+        import weakref
+
+        compiled = build_compiled_spec(parse_spec(CHAIN_SPEC))
+        gc.disable()
+        try:
+            runner = MonitorRunner(compiled, on_output)
+            runner.feed_batch([(1, "a", 6), (1, "b", 2), (2, "a", 4), (2, "b", 1)])
+            runner.finish()
+            assert runner.report.events_out > 0
+            monitor = weakref.ref(runner.monitor)
+            del runner
+            assert monitor() is None
+        finally:
+            gc.enable()

@@ -88,7 +88,7 @@ class TestIneligible:
         flat = flatten(seen_set())
         check_types(flat)
         cls = classify_vector(flat)
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
         assert "seen" not in cls.eligible
         diags = cls.diagnostics()
         assert diags and all(d.code == "VEC001" for d in diags)
@@ -121,7 +121,7 @@ class TestIneligible:
             """
         )
         assert "t" not in cls.eligible
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
 
     def test_dependency_on_ineligible_stream_propagates(self):
         # `count` expands to an ad-hoc (unregistered) lift, so `agg` is
@@ -144,17 +144,17 @@ class TestIneligible:
         check_types(flat)
         cls = classify_vector(flat, error_policy=ErrorPolicy.PROPAGATE)
         assert cls.error_mode
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
 
 
 def eager_auto_engine(cls):
     """The ``auto`` rule with the families built first, shortcut-free."""
     verdicts = cls.verdicts
     if not cls.numpy_ok or cls.error_mode or not cls.eligible:
-        return "plan"
+        return "codegen"
     for verdict in verdicts:
         if verdict.outputs and not verdict.eligible:
-            return "plan"
+            return "codegen"
     return "vector"
 
 
@@ -174,7 +174,7 @@ class TestLazyFamilies:
     """Family verdicts are built on first use, never for ``auto`` alone
     when an output is already ineligible."""
 
-    def test_scalar_output_resolves_plan_without_partitioning(
+    def test_scalar_output_resolves_codegen_without_partitioning(
         self, monkeypatch
     ):
         import repro.compiler.families as families
@@ -183,7 +183,7 @@ class TestLazyFamilies:
             raise AssertionError("partition_spec called")
 
         monkeypatch.setattr(families, "partition_spec", refuse)
-        assert api.compile(seen_set()).engine_resolved == "plan"
+        assert api.compile(seen_set()).engine_resolved == "codegen"
 
     @pytest.mark.parametrize("spec", [seen_set(), MIXED_FAMILIES])
     def test_diagnostics_match_eager_classification(self, spec):
@@ -221,13 +221,13 @@ class TestLazyFamilies:
 
 
 class TestNumpyAbsent:
-    def test_missing_numpy_resolves_plan_with_vec002(self, monkeypatch):
+    def test_missing_numpy_resolves_codegen_with_vec002(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         flat = flatten(parse_spec(SCALAR_CHAIN))
         check_types(flat)
         cls = classify_vector(flat)
         assert not cls.numpy_ok
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
         assert [d.code for d in cls.diagnostics()] == ["VEC002"]
 
 

@@ -92,11 +92,11 @@ class TestClassification:
     def test_float_minmax_stays_scalar(self):
         # np.maximum.accumulate and the scalar np.where kernel disagree
         # on NaN, so float max/min never scans — the family keeps its
-        # feedback cycle and auto resolves to the plan engine.
+        # feedback cycle and auto resolves to the codegen engine.
         m = api.compile(scan_spec(FLOAT, "max"), api.CompileOptions())
         cls = classify_vector(m.compiled.flat)
         assert cls.scans == ()
-        assert m.engine_resolved == "plan"
+        assert m.engine_resolved == "codegen"
         assert scan_ufunc_for("max", "float64") is None
         assert scan_ufunc_for("max", "int64") == "maximum"
 

@@ -282,7 +282,7 @@ class TestOptionRoundtrips:
             seen_set(), api.CompileOptions(engine="codegen")
         )
         assert monitor.fingerprint
-        assert "class" in monitor.source
+        assert "def _calc_rows(self, rows," in monitor.source
         assert monitor.plan_cache_hit is None
         assert monitor.mutable_streams
         assert "Monitor(" in repr(monitor)

@@ -42,11 +42,11 @@ class TestCommands:
     def test_emit(self, spec_file, capsys):
         assert main(["emit", spec_file]) == 0
         out = capsys.readouterr().out
-        assert "class GeneratedMonitor" in out
+        assert "def _calc_rows(self, rows," in out
 
     def test_emit_no_optimize(self, spec_file, capsys):
         assert main(["emit", "--no-optimize", spec_file]) == 0
-        assert "class GeneratedMonitor" in capsys.readouterr().out
+        assert "def _calc_rows(self, rows," in capsys.readouterr().out
 
     def test_run(self, spec_file, trace_file, capsys):
         assert main(["run", spec_file, "--trace", trace_file]) == 0

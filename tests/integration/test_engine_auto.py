@@ -1,7 +1,7 @@
 """Engine negotiation: ``CompileOptions(engine="auto")``.
 
 ``auto`` resolves per spec — ``vector`` when every output-reachable
-family is vector-eligible and numpy is importable, else ``plan`` —
+family is vector-eligible and numpy is importable, else ``codegen`` —
 and the resolution is observable (``Monitor.engine_resolved``),
 explained (``VEC001``/``VEC002`` diagnostics) and fingerprinted (the
 resolved engine, never the literal ``"auto"``, keys plan cache and
@@ -39,23 +39,23 @@ class TestResolution:
         assert monitor.options.engine == "auto"
         assert monitor.engine_resolved == "vector"
 
-    def test_auto_resolves_plan_when_ineligible(self):
+    def test_auto_resolves_codegen_when_ineligible(self):
         monitor = api.compile(
             seen_set(), api.CompileOptions(engine="auto")
         )
-        assert monitor.engine_resolved == "plan"
+        assert monitor.engine_resolved == "codegen"
         codes = [d.code for d in monitor.diagnostics()]
         if has_numpy:
             assert "VEC001" in codes
         else:
             assert "VEC002" in codes
 
-    def test_auto_resolves_plan_under_error_policy(self):
+    def test_auto_resolves_codegen_under_error_policy(self):
         monitor = api.compile(
             ELIGIBLE,
             api.CompileOptions(engine="auto", error_policy="propagate"),
         )
-        assert monitor.engine_resolved == "plan"
+        assert monitor.engine_resolved == "codegen"
 
     @pytest.mark.parametrize(
         "engine", ["codegen", "plan"] + (["vector"] if has_numpy else [])
@@ -87,10 +87,10 @@ class TestResolution:
 
 
 class TestNumpyLess:
-    def test_auto_falls_back_to_plan(self, monkeypatch):
+    def test_auto_falls_back_to_codegen(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         monitor = api.compile(ELIGIBLE, api.CompileOptions(engine="auto"))
-        assert monitor.engine_resolved == "plan"
+        assert monitor.engine_resolved == "codegen"
         assert [d.code for d in monitor.diagnostics()] == ["VEC002"]
         collected = []
         api.run(
@@ -117,14 +117,16 @@ class TestFingerprints:
         )
         assert auto.fingerprint == explicit.fingerprint
 
-    def test_auto_plan_fallback_shares_plan_fingerprint(self):
+    def test_auto_codegen_fallback_shares_codegen_fingerprint(self):
         auto = api.compile(
             seen_set(), api.CompileOptions(engine="auto")
         )
         explicit = api.compile(
-            seen_set(), api.CompileOptions(engine="plan")
+            seen_set(), api.CompileOptions(engine="codegen")
         )
         assert auto.fingerprint == explicit.fingerprint
+        plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
+        assert auto.fingerprint != plan.fingerprint
 
     @needs_numpy
     def test_numpy_presence_forks_auto_fingerprint(self, monkeypatch):

@@ -356,8 +356,8 @@ def pool_bytes(name):
 class TestEncodingChoice:
     """Columnar only where the worker feeds ``feed_columns`` zero-copy."""
 
-    def test_plan_pool_packs_sparse_two_stream_as_blob(self, packed_kinds):
-        assert api.compile(TWO_STREAM_TEXT).engine_resolved == "plan"
+    def test_scalar_pool_packs_sparse_two_stream_as_blob(self, packed_kinds):
+        assert api.compile(TWO_STREAM_TEXT).engine_resolved == "codegen"
         traces = two_stream_traces(4)
         shared = pool_bytes(POOL_BYTES_SHARED)
         pickled = pool_bytes(POOL_BYTES_PICKLED)
