@@ -83,7 +83,7 @@ CATALOG: Dict[str, Any] = {
     "OPT005": ("dead stream eliminated", Severity.NOTE),
     "OPT006": ("never-firing stream normalized to nil", Severity.NOTE),
     "OPT007": ("rewrite rejected by mutable-share guard", Severity.NOTE),
-    "VEC001": ("vector-ineligible family (plan fallback)", Severity.NOTE),
+    "VEC001": ("vector-ineligible stream (codegen fallback)", Severity.NOTE),
     "VEC002": ("vector engine unavailable (numpy missing)", Severity.NOTE),
     "WIN001": ("window aggregate on the O(1) delta path", Severity.NOTE),
     "WIN002": ("window aggregate recomputed by fold", Severity.NOTE),

@@ -80,12 +80,13 @@ class CompileOptions:
     backend: Union[Backend, str, None] = None
     #: Execution engine: ``"auto"`` (the default — resolve per spec:
     #: the columnar :mod:`vector <repro.compiler.vector>` engine when
-    #: every output-reachable stream family is vector-eligible and
-    #: numpy is importable, else ``"codegen"``), or one of the explicit
+    #: every stream is vector-eligible, numpy is importable and no
+    #: error policy is set, else ``"codegen"``), or one of the explicit
     #: engines ``"codegen"``, ``"plan"`` (no ``exec``), ``"vector"``.
+    #: ``"vector"`` resolves like ``"auto"`` but raises without numpy.
     #: The resolved engine is observable as
-    #: :attr:`Monitor.engine_resolved`; per-family fallbacks surface as
-    #: ``VEC001`` diagnostics.
+    #: :attr:`Monitor.engine_resolved`; each ineligible stream surfaces
+    #: as a ``VEC001`` diagnostic.
     engine: str = "auto"
     #: Hardened error-propagating evaluation (``None`` — seed-exact).
     error_policy: Union[ErrorPolicy, str, None] = None
@@ -272,9 +273,10 @@ class Monitor:
     def engine_resolved(self) -> str:
         """The engine actually compiled — never ``"auto"``.
 
-        With ``engine="auto"`` this is ``"vector"`` when every
-        output-reachable stream family passed the vector-eligibility
-        classification (and numpy is importable), else ``"codegen"``.
+        With ``engine="auto"`` or ``engine="vector"`` this is
+        ``"vector"`` when every stream passed the vector-eligibility
+        classification (numpy importable, no error policy), else
+        ``"codegen"``.
         The resolved engine — not the ``"auto"`` request — is what
         enters :attr:`fingerprint`.
         """

@@ -53,7 +53,8 @@ reproducing the uninterrupted run's output file exactly,
 ``--engine`` selects the execution engine (``auto`` — the default,
 resolving to the columnar ``vector`` engine when the whole spec is
 vector-eligible and numpy is present, else ``codegen`` — or explicitly
-``codegen``, ``plan``, ``vector``; ``emit`` defaults to ``codegen``
+``codegen``, ``plan``, ``vector``, which resolves like ``auto`` but is
+an error without numpy; ``emit`` defaults to ``codegen``
 since it prints generated source, and the engine-independent commands
 reject it), ``--batch-size`` drives the monitor's batch hot path in
 chunks, and ``--plan-cache DIR`` persists the analysis outputs on disk
@@ -750,12 +751,11 @@ def main(argv=None) -> int:
         "--engine",
         choices=["auto", "codegen", "plan", "vector"],
         default=None,
-        help="execution engine: auto (the default — vector when"
-        " eligible, else codegen: columnar numpy kernels when the"
-        " whole spec is vector-eligible, else generated source),"
-        " generated source, the flat dispatch plan (no exec), or the"
-        " columnar vector engine; 'emit' defaults to codegen (it"
-        " prints generated source)",
+        help="execution engine: auto (the default — columnar numpy"
+        " kernels when every stream is vector-eligible, else generated"
+        " source), generated source, the flat dispatch plan (no exec),"
+        " or vector (like auto, but an error without numpy); 'emit'"
+        " defaults to codegen (it prints generated source)",
     )
     parser.add_argument(
         "--batch-size",

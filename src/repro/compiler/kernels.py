@@ -1,7 +1,7 @@
 """Numpy kernels for the columnar vector engine.
 
-The vector engine (:mod:`repro.compiler.vector`) lowers each plan step of
-a vector-eligible stream family to one whole-column numpy operation.  This
+The vector engine (:mod:`repro.compiler.vector`) lowers each stream of
+a wholly vector-eligible spec to one whole-column numpy operation.  This
 module holds the per-builtin kernel table plus the numpy availability
 probe — numpy is an *optional* dependency (the ``repro[vector]`` extra);
 everything here degrades gracefully when it is missing.

@@ -75,7 +75,7 @@ class CompiledSpec:
     engine_requested: str = ""
     #: The :class:`~repro.compiler.vector.VectorClassification` computed
     #: for ``auto``/``vector`` engine requests, or ``None``.  Carries the
-    #: per-family eligibility verdicts behind the ``VEC00x`` diagnostics.
+    #: per-stream eligibility reasons behind the ``VEC00x`` diagnostics.
     vector_info: Optional[Any] = None
     #: Content + options fingerprint (sha256 hex).  Keys the plan cache
     #: and the durable checkpoints: two compilations differing in any
@@ -219,8 +219,10 @@ def build_compiled_spec(
 
     ``engine`` selects the execution strategy: ``"codegen"`` (generated
     Python source, the default), ``"plan"`` (flat dispatch plan, no
-    ``exec``), ``"vector"`` (columnar numpy kernels) or ``"auto"``
-    (vector when eligible, else codegen).
+    ``exec``), ``"vector"`` (columnar numpy kernels) or ``"auto"``.
+    ``"auto"`` and ``"vector"`` both resolve to vector when every stream
+    is vector-eligible and no error policy is set, else to codegen;
+    only ``"vector"`` raises when numpy is missing.
 
     ``error_policy`` (an :class:`~repro.errors.ErrorPolicy` or its
     string value) switches on the hardened error-propagating evaluation
@@ -288,25 +290,25 @@ def _compile(
             )
         flat = rewrite_result.flat
 
-    # Engine negotiation: "auto" resolves to the vector engine when
-    # every output-owning alias-closed family is vector-eligible (and
-    # numpy is importable), else to the codegen engine.  The classification
-    # is cheap and syntactic, so it also runs on warm cache hits; the
-    # resolved engine — not "auto" — enters the fingerprint below.
+    # Engine negotiation: "auto" and "vector" resolve to the vector
+    # engine when numpy is importable, no error policy is set and every
+    # stream is vector-eligible, else to the codegen engine ("vector"
+    # without numpy is an error instead).  The classification is cheap
+    # and syntactic, so it also runs on warm cache hits; the resolved
+    # engine — not the request — enters the fingerprint below.
     requested_engine = engine
     vector_info: Optional[Any] = None
     if engine in ("auto", "vector"):
         from .vector import classify_vector
 
         vector_info = classify_vector(flat, error_policy=policy)
-        if engine == "auto":
-            engine = vector_info.auto_engine
-        elif not vector_info.numpy_ok:
+        if engine == "vector" and not vector_info.numpy_ok:
             raise ValueError(
                 "engine='vector' requires numpy; install the optional"
                 " extra (pip install 'repro[vector]') or use"
                 " engine='auto' to fall back to the codegen engine"
             )
+        engine = vector_info.auto_engine
 
     if isinstance(plan_cache, str):
         plan_cache = PlanCache(plan_cache)

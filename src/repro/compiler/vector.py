@@ -3,12 +3,9 @@
 The paper's mutability analysis decides which stream variables can be
 updated in place; the same structural facts — scalar data types, no
 aggregate structures, no data-dependent clock feedback — are exactly the
-eligibility condition for columnar execution.  This module classifies
-each alias-closed stream family (:mod:`repro.compiler.families`: a
-union-find over usage edges and
-:class:`~repro.analysis.aliasing.AliasAnalysis`) as
-*vector-eligible* and lowers the eligible part of the translation order
-to whole-column numpy kernels:
+eligibility condition for columnar execution.  :func:`classify_vector`
+judges every stream of a spec, and a spec whose streams are *all*
+eligible lowers its translation order to whole-column numpy kernels:
 
 * one structure-of-arrays buffer pair per stream variable — a value
   column plus a boolean presence mask over the batch's unique
@@ -24,25 +21,23 @@ to whole-column numpy kernels:
   covers aggregate types only; scalar columns get the same
   "no later reader" certificate per batch instead).
 
-Ineligible families — aggregate types, ``delay`` feedback, ad-hoc
-lifts — fall back *per family* to the plan engine inside the same
-monitor: the vectorized slice pass computes eligible columns first,
-then a scalar per-timestamp loop runs the remaining plan ops, bridging
-eligible values in by timestamp index.  Every spec still compiles.
+The engine is all-or-nothing: one ineligible stream — an aggregate
+type, ``delay`` feedback, an ad-hoc lift, or a dependency on any of
+those — sends the whole spec to the codegen engine, under
+``engine="vector"`` as under ``engine="auto"`` (see
+:attr:`VectorClassification.auto_engine`).  So does an error policy.
 
 :class:`VectorMonitorBase` subclasses the plan engine's monitor, so the
 per-event ``push`` path, snapshot/restore and checkpointing reuse the
-plan state (slot values, last cells, delay cells) unchanged.
+plan state (slot values, last cells) unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -60,21 +55,9 @@ from ..lang.spec import FlatSpec
 from ..structures import Backend
 from . import kernels
 from .monitor import UNIT_VALUE, MonitorError
-from .plan import (
-    OP_DELAY,
-    OP_LAST,
-    OP_LIFT_ALL,
-    OP_LIFT_ANY,
-    OP_MERGE,
-    OP_TIME,
-    OP_UNIT,
-    ExecutionPlan,
-    PlanMonitorBase,
-    build_plan,
-)
+from .plan import PlanMonitorBase, build_plan
 
 __all__ = [
-    "FamilyVerdict",
     "VectorClassification",
     "classify_vector",
     "make_vector_class",
@@ -87,128 +70,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FamilyVerdict:
-    """Vector eligibility of one alias-closed stream family."""
-
-    #: Defined member streams (with replicated scalar prefix), definition order.
-    streams: Tuple[str, ...]
-    #: Output streams owned by the family.
-    outputs: Tuple[str, ...]
-    eligible: bool
-    #: ``(stream, reason)`` pairs for ineligible members; empty when eligible.
-    reasons: Tuple[Tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class VectorClassification:
-    """Per-family vector eligibility for one flat specification.
+    """Per-stream vector eligibility for one flat specification."""
 
-    The stream-level pass (``reasons``, the placement order, the scan
-    triples) runs eagerly; the family verdicts need
-    :func:`~repro.compiler.families.partition_spec` and are built on
-    first access, so an ``auto`` compile whose outputs already carry an
-    ineligibility reason resolves to the codegen engine without
-    computing the families.
-    """
-
-    flat: FlatSpec = field(repr=False, compare=False)
-    #: Ineligible stream → first reason (structural, family-independent).
+    #: Ineligible stream → first reason.
     reasons: Mapping[str, str]
     numpy_ok: bool
     error_mode: bool
-    #: Topological placement order of every stream the stream-level
-    #: pass placed, before family demotion.
-    placed: Tuple[str, ...] = ()
-    #: Recognized running-aggregate triples before family demotion.
-    candidate_scans: Tuple[Tuple[str, str, str, str, str, str, str], ...] = ()
-
-    @cached_property
-    def _families(self) -> Tuple[Tuple[FamilyVerdict, ...], FrozenSet[str]]:
-        from .families import partition_spec
-
-        flat, reasons = self.flat, self.reasons
-        verdicts: List[FamilyVerdict] = []
-        eligible: Set[str] = set()
-        for part in partition_spec(flat).partitions:
-            bad: List[Tuple[str, str]] = [
-                (stream, reasons[stream])
-                for stream in part.streams
-                if stream in reasons
-            ]
-            for out in part.outputs:
-                # Passthrough outputs (an input re-exported) have no
-                # defining member; their type still has to be columnar.
-                if out in flat.inputs and out in reasons:
-                    bad.append((out, reasons[out]))
-            verdict = FamilyVerdict(
-                streams=part.streams,
-                outputs=part.outputs,
-                eligible=not bad,
-                reasons=tuple(bad),
-            )
-            verdicts.append(verdict)
-            if verdict.eligible:
-                eligible.update(part.streams)
-                eligible.update(
-                    name for name in part.inputs if name not in reasons
-                )
-                eligible.update(
-                    name
-                    for name in part.outputs
-                    if name in flat.inputs and name not in reasons
-                )
-        return tuple(verdicts), frozenset(eligible)
-
-    @property
-    def verdicts(self) -> Tuple[FamilyVerdict, ...]:
-        """One verdict per alias-closed family."""
-        return self._families[0]
-
-    @property
-    def eligible(self) -> FrozenSet[str]:
-        """Streams (inputs and definitions) executed columnar."""
-        return self._families[1]
-
-    @property
-    def order(self) -> Tuple[str, ...]:
-        """Topological execution order of the eligible defined streams."""
-        eligible = self.eligible
-        return tuple(name for name in self.placed if name in eligible)
-
-    @property
-    def scans(self) -> Tuple[Tuple[str, str, str, str, str, str, str], ...]:
-        """Recognized running-aggregate feedback triples, executed as one
-        seeded prefix scan each: ``(h, k, s, x, op_name, ufunc, dtype)``
-        for ``h = last(s, x); k = op(h, x); s = merge(k, x)``.  A demoted
-        family drops its members, so a scan survives only with all
-        three streams columnar."""
-        eligible = self.eligible
-        return tuple(
-            triple
-            for triple in self.candidate_scans
-            if all(member in eligible for member in triple[:3])
-        )
+    #: Topological execution order of the eligible defined streams.
+    order: Tuple[str, ...] = ()
+    #: Recognized running-aggregate feedback triples, executed as one
+    #: seeded prefix scan each: ``(h, k, s, x, op_name, ufunc, dtype)``
+    #: for ``h = last(s, x); k = op(h, x); s = merge(k, x)``.
+    scans: Tuple[Tuple[str, str, str, str, str, str, str], ...] = ()
 
     @property
     def auto_engine(self) -> str:
-        """Engine ``engine="auto"`` resolves to: vector iff every
-        output-owning family is eligible (and numpy is importable),
-        else codegen."""
-        if not self.numpy_ok or self.error_mode:
-            return "codegen"
-        # An ineligible output demotes its own family: codegen, whatever
-        # the other families would say.
-        if any(out in self.reasons for out in self.flat.outputs):
-            return "codegen"
-        if not self.eligible:
-            return "codegen"
-        for verdict in self.verdicts:
-            if verdict.outputs and not verdict.eligible:
-                return "codegen"
-        return "vector"
+        """Engine ``engine="auto"`` and ``engine="vector"`` resolve to:
+        vector iff numpy is importable, no error policy is set and every
+        stream is eligible, else codegen."""
+        if self.numpy_ok and not self.error_mode and not self.reasons:
+            return "vector"
+        return "codegen"
 
     def diagnostics(self) -> List[Any]:
-        """VEC00x NOTE diagnostics explaining any scalar fallback."""
+        """VEC00x NOTE diagnostics explaining a codegen resolution."""
         from ..analysis.diagnostics import Diagnostic, Severity
 
         out: List[Any] = []
@@ -226,33 +112,18 @@ class VectorClassification:
                     witness={"rule": "numpy-missing"},
                 )
             )
-        for verdict in self.verdicts:
-            if verdict.eligible:
-                continue
-            anchor = (
-                verdict.streams[0]
-                if verdict.streams
-                else (verdict.outputs[0] if verdict.outputs else "")
-            )
-            detail = "; ".join(
-                f"{stream}: {reason}" for stream, reason in verdict.reasons
-            )
+        for stream, reason in self.reasons.items():
             out.append(
                 Diagnostic(
                     code="VEC001",
                     severity=Severity.NOTE,
-                    stream=anchor,
+                    stream=stream,
                     message=(
-                        "family is not vector-eligible (engine='auto'"
-                        " compiles the spec with codegen; engine='vector'"
-                        " runs this family on plan ops) — " + detail
+                        f"stream is not vector-eligible ({reason}): the"
+                        " spec compiles with codegen"
                     ),
                     source="vector",
-                    witness={
-                        "rule": "vector-fallback",
-                        "family": list(verdict.streams),
-                        "reasons": {s: r for s, r in verdict.reasons},
-                    },
+                    witness={"rule": "vector-fallback", "reason": reason},
                 )
             )
         return out
@@ -263,7 +134,7 @@ def _expr_deps(expr: Any) -> Set[str]:
 
 
 def _local_reason(flat: FlatSpec, name: str) -> Optional[str]:
-    """Family-independent ineligibility reason for one stream, or None."""
+    """Ineligibility reason of one stream's own type and operator, or None."""
     stream_type = flat.types.get(name)
     if stream_type is None or kernels.dtype_name_for(stream_type) is None:
         return f"type {stream_type} has no column representation"
@@ -366,12 +237,13 @@ def classify_vector(
     *,
     error_policy: Optional[ErrorPolicy] = None,
 ) -> VectorClassification:
-    """Classify every alias-closed family of *flat* as vector-eligible.
+    """Classify every stream of *flat* as vector-eligible or not.
 
-    Purely syntactic over the typed flat spec (plus the alias-closed
-    family structure of :mod:`.families`, built on first use), so it is
-    cheap enough to run on every compile — including warm plan-cache hits —
-    for ``auto`` engine resolution.
+    Purely syntactic over the typed flat spec, so it is cheap enough to
+    run on every compile — including warm plan-cache hits — for
+    ``auto``/``vector`` engine resolution.  A stream is eligible when
+    its type has a column, its operator has a columnar lowering and
+    every stream it reads is eligible.
     """
     defined = flat.definitions
     reasons: Dict[str, str] = {}
@@ -438,16 +310,12 @@ def classify_vector(
             name, "recursive: in-batch feedback through last"
         )
 
-    # Family granularity (the alias-closed families, where an
-    # ineligible member demotes its whole family to the scalar plan
-    # path) is computed lazily by the classification itself.
     return VectorClassification(
-        flat=flat,
         reasons=reasons,
         numpy_ok=kernels.numpy_available(),
         error_mode=error_policy is not None,
-        placed=tuple(order),
-        candidate_scans=tuple(scans),
+        order=tuple(order),
+        scans=tuple(scans),
     )
 
 
@@ -468,28 +336,17 @@ VOP_SCAN = 9
 
 @dataclass(frozen=True)
 class VectorProgram:
-    """The columnar half of a hybrid vector/plan monitor."""
+    """The columnar lowering of a wholly vector-eligible spec."""
 
     n_vslots: int
     vslot_of: Mapping[str, int]
-    #: Eligible inputs: ``(name, vslot, dtype_name)`` (``"unit"`` → mask only).
+    #: Inputs: ``(name, vslot, dtype_name)`` (``"unit"`` → mask only).
     col_inputs: Tuple[Tuple[str, int, str], ...]
-    #: Ineligible inputs routed to the scalar loop: ``(name, plan_slot)``.
-    row_inputs: Tuple[Tuple[str, int], ...]
     steps: Tuple[tuple, ...]
-    #: True when the whole batch slice runs columnar (no scalar ops, no
-    #: delays, every output eligible).
-    pure: bool
-    #: Plan ops of the ineligible streams, original order.
-    scalar_ops: Tuple[tuple, ...]
-    #: Eligible values read by the scalar section: ``(plan_slot, vslot, is_unit)``.
-    bridge: Tuple[Tuple[int, int, bool], ...]
-    #: All outputs in declaration order: ``(name, plan_slot, vslot|None, is_unit)``.
-    out_sched: Tuple[Tuple[str, int, Optional[int], bool], ...]
-    #: Eligible ``last`` sources: ``(vslot, cell_index, is_unit)``.
+    #: All outputs in declaration order: ``(name, vslot, is_unit)``.
+    out_sched: Tuple[Tuple[str, int, bool], ...]
+    #: ``last`` sources: ``(vslot, cell_index, is_unit)``.
     last_vec: Tuple[Tuple[int, int, bool], ...]
-    #: Ineligible ``last`` sources: ``(plan_slot, cell_index)``.
-    last_scalar: Tuple[Tuple[int, int], ...]
     #: Kernel steps certified for in-place buffer reuse (step position).
     inplace_steps: Tuple[int, ...] = ()
 
@@ -515,30 +372,20 @@ def _step_reads(step: tuple) -> Tuple[int, ...]:
 
 def build_vector_program(
     flat: FlatSpec,
-    plan: ExecutionPlan,
     classification: VectorClassification,
     default_backend: Backend = Backend.PERSISTENT,
 ) -> VectorProgram:
-    """Lower the eligible streams of *flat* to columnar steps."""
-    eligible = classification.eligible
-    name_of_slot = {slot: name for name, slot in plan.slot_of.items()}
-
+    """Lower the streams of a wholly eligible *flat* to columnar steps."""
     vslot_of: Dict[str, int] = {}
     col_inputs: List[Tuple[str, int, str]] = []
     for name in flat.inputs:
-        if name in eligible:
-            vslot = len(vslot_of)
-            vslot_of[name] = vslot
-            col_inputs.append(
-                (name, vslot, kernels.dtype_name_for(flat.types[name]))
-            )
+        vslot = len(vslot_of)
+        vslot_of[name] = vslot
+        col_inputs.append(
+            (name, vslot, kernels.dtype_name_for(flat.types[name]))
+        )
     for name in classification.order:
         vslot_of[name] = len(vslot_of)
-    row_inputs = tuple(
-        (name, plan.slot_of[name])
-        for name in flat.inputs
-        if name not in eligible
-    )
 
     vslot_dtype: List[Optional[str]] = [None] * len(vslot_of)
     for name, vslot in vslot_of.items():
@@ -630,71 +477,22 @@ def build_vector_program(
                     [VOP_KERNEL, dst, arg_vslots, kernel, dtn, -1, name]
                 )
 
-    # Scalar section: plan ops whose destination stream is ineligible.
-    scalar_ops = tuple(
-        op for op in plan.ops if name_of_slot[op[1]] not in eligible
-    )
-    eligible_slots = {
-        plan.slot_of[name] for name in eligible if name in plan.slot_of
-    }
-    bridge_slots: Set[int] = set()
-    for opcode, _dst, args, _fn in scalar_ops:
-        if opcode == OP_DELAY or opcode == OP_UNIT:
-            continue
-        candidates = (args[1],) if opcode == OP_LAST else args
-        for slot in candidates:
-            if slot in eligible_slots:
-                bridge_slots.add(slot)
-    for _cell, _own, reset_slot, amount_slot in plan.delay_arms:
-        for slot in (reset_slot, amount_slot):
-            if slot in eligible_slots:
-                bridge_slots.add(slot)
-    bridge = tuple(
-        (
-            slot,
-            vslot_of[name_of_slot[slot]],
-            flat.types[name_of_slot[slot]] == ty.UNIT,
-        )
-        for slot in sorted(bridge_slots)
-    )
-
     out_sched = tuple(
-        (
-            name,
-            slot,
-            vslot_of.get(name),
-            flat.types[name] == ty.UNIT,
-        )
-        for name, slot in plan.outputs
+        (name, vslot_of[name], flat.types[name] == ty.UNIT)
+        for name in flat.outputs
     )
-    last_vec: List[Tuple[int, int, bool]] = []
-    last_scalar: List[Tuple[int, int]] = []
-    for src_slot, cell in plan.last_stores:
-        src_name = name_of_slot[src_slot]
-        if src_name in eligible:
-            last_vec.append(
-                (vslot_of[src_name], cell, flat.types[src_name] == ty.UNIT)
-            )
-        else:
-            last_scalar.append((src_slot, cell))
-
-    pure = (
-        not scalar_ops
-        and plan.n_delays == 0
-        and not last_scalar
-        and all(vslot is not None for _n, _s, vslot, _u in out_sched)
+    last_vec = tuple(
+        (vslot_of[name], cell, flat.types[name] == ty.UNIT)
+        for name, cell in last_index.items()
     )
 
     # Batch-local liveness: a kernel may overwrite an argument column
     # in place iff this step is the argument's last read and nothing
-    # outside the step order (outputs, last carries, the scalar bridge,
-    # input buffers, aliased columns) can observe it afterwards.
-    for _name, _slot, vslot, _unit in out_sched:
-        if vslot is not None:
-            protected.add(vslot)
-    for vslot, _cell, _unit in last_vec:
+    # outside the step order (outputs, last carries, input buffers,
+    # aliased columns) can observe it afterwards.
+    for _name, vslot, _unit in out_sched:
         protected.add(vslot)
-    for _slot, vslot, _unit in bridge:
+    for vslot, _cell, _unit in last_vec:
         protected.add(vslot)
     last_read: Dict[int, int] = {}
     for position, step in enumerate(steps):
@@ -722,14 +520,9 @@ def build_vector_program(
         n_vslots=len(vslot_of),
         vslot_of=dict(vslot_of),
         col_inputs=tuple(col_inputs),
-        row_inputs=row_inputs,
         steps=tuple(tuple(step) for step in steps),
-        pure=pure,
-        scalar_ops=scalar_ops,
-        bridge=bridge,
         out_sched=out_sched,
-        last_vec=tuple(last_vec),
-        last_scalar=tuple(last_scalar),
+        last_vec=last_vec,
         inplace_steps=tuple(inplace_steps),
     )
 
@@ -739,17 +532,16 @@ def build_vector_program(
 
 
 class VectorMonitorBase(PlanMonitorBase):
-    """Hybrid columnar/plan monitor.
+    """Columnar monitor over the plan engine's state.
 
-    ``feed_batch``/``feed_columns`` run the eligible streams as whole
-    columns over the batch's timestamp slice; ineligible streams run in
-    the inherited plan loop.  Per-event ``push``, ``snapshot``/
-    ``restore`` and the delay machinery are inherited unchanged — the
-    only cross-batch state is the plan state (last cells, delay cells,
-    pending input attributes).
+    ``feed_batch``/``feed_columns`` run every stream as whole columns
+    over the batch's timestamp slice.  Per-event ``push`` and
+    ``snapshot``/``restore`` are inherited unchanged — the only
+    cross-batch state is the plan state (last cells, pending input
+    attributes).
     """
 
-    VPROG: Optional[VectorProgram] = None
+    VPROG: VectorProgram = None  # type: ignore[assignment]
     NP: Any = None
     METRICS: Any = None
     SOURCE = "<vector engine — columnar numpy kernels, no generated source>"
@@ -763,8 +555,6 @@ class VectorMonitorBase(PlanMonitorBase):
             events = list(events)
         if not events:
             return 0
-        if self.VPROG is None:
-            return super().feed_batch(events)
         packed = self._pack_batch(events)
         if packed is not None:
             return self._feed_batch_fast(events, *packed)
@@ -808,9 +598,9 @@ class VectorMonitorBase(PlanMonitorBase):
 
             if TRACER.enabled:
                 with TRACER.span("run.vector_batch"):
-                    self._vector_slice(slice_events, tail_ts)
+                    self._vector_slice(slice_events)
             else:
-                self._vector_slice(slice_events, tail_ts)
+                self._vector_slice(slice_events)
         for _ts, name, value in tail_events:
             setattr(self, input_attrs[name], value)
         self._pending_ts = tail_ts
@@ -825,12 +615,11 @@ class VectorMonitorBase(PlanMonitorBase):
         batch provably passes every per-event protocol check, so the
         caller can skip the row loop entirely.  Any irregularity —
         malformed rows, unknown streams, None payloads, reordered or
-        pending-merging timestamps, row-shim inputs — returns None and
+        pending-merging timestamps — returns None and
         the scalar path takes over to report the exact offending index
         with its exact message.
         """
-        prog = self.VPROG
-        if prog.row_inputs or len(events) < 64:
+        if len(events) < 64:
             return None
         np = self.NP
         try:
@@ -891,13 +680,9 @@ class VectorMonitorBase(PlanMonitorBase):
 
             if TRACER.enabled:
                 with TRACER.span("run.vector_batch"):
-                    self._vector_exec(
-                        ts_list, cols, masks, None, tail_ts, ts_slice
-                    )
+                    self._vector_exec(ts_list, cols, masks, ts_slice)
             else:
-                self._vector_exec(
-                    ts_list, cols, masks, None, tail_ts, ts_slice
-                )
+                self._vector_exec(ts_list, cols, masks, ts_slice)
         for _ts, name, value in events[split:]:
             setattr(self, input_attrs[name], value)
         self._pending_ts = tail_ts
@@ -988,12 +773,11 @@ class VectorMonitorBase(PlanMonitorBase):
         Dense semantics: every stream in *columns* has an event at
         every timestamp; streams absent from *columns* have none.
         Timestamps must be strictly increasing.  Caller arrays are
-        never mutated; eligible numeric columns are consumed as numpy
-        views without row conversion.  The final timestamp stays
-        pending, exactly as with :meth:`feed_batch`.
+        never mutated; numeric columns are consumed as numpy views
+        without row conversion.  The final timestamp stays pending,
+        exactly as with :meth:`feed_batch`.
         """
-        prog = self.VPROG
-        if prog is None or self._finished:
+        if self._finished:
             return super().feed_columns(timestamps, columns)
         np = self.NP
         ts_arr = np.asarray(timestamps)
@@ -1055,6 +839,7 @@ class VectorMonitorBase(PlanMonitorBase):
             return count
 
         sliced = total - 1
+        prog = self.VPROG
         n_vslots = prog.n_vslots
         cols: List[Any] = [None] * n_vslots
         masks: List[Any] = [None] * n_vslots
@@ -1074,34 +859,15 @@ class VectorMonitorBase(PlanMonitorBase):
                     if arr.dtype != target:
                         arr = arr.astype(target)
                     cols[vslot] = arr[:sliced]
-        row_values: Optional[Dict[str, List[Any]]] = None
-        if prog.row_inputs:
-            row_values = {}
-            for name, _slot in prog.row_inputs:
-                column = columns.get(name)
-                if column is None:
-                    row_values[name] = [None] * sliced
-                else:
-                    values = (
-                        column.tolist()
-                        if hasattr(column, "tolist")
-                        else list(column)
-                    )
-                    row_values[name] = values[:sliced]
-
         if self._done_ts < 0 and ts_list[0] > 0:
             self._run_calc(0)
         from ..obs.trace import TRACER
 
         if TRACER.enabled:
             with TRACER.span("run.vector_batch"):
-                self._vector_exec(
-                    ts_list[:sliced], cols, masks, row_values, tail_ts
-                )
+                self._vector_exec(ts_list[:sliced], cols, masks)
         else:
-            self._vector_exec(
-                ts_list[:sliced], cols, masks, row_values, tail_ts
-            )
+            self._vector_exec(ts_list[:sliced], cols, masks)
         self._set_column_tail(columns, total - 1)
         self._pending_ts = tail_ts
         return count
@@ -1122,9 +888,7 @@ class VectorMonitorBase(PlanMonitorBase):
 
     # -- columnar execution ------------------------------------------------
 
-    def _vector_slice(
-        self, events: List[Tuple[int, str, Any]], bound_ts: int
-    ) -> None:
+    def _vector_slice(self, events: List[Tuple[int, str, Any]]) -> None:
         """Run one slice of row events through the columnar pass."""
         np = self.NP
         prog = self.VPROG
@@ -1147,34 +911,24 @@ class VectorMonitorBase(PlanMonitorBase):
                     length, dtype=kernels.resolve_dtype(np, dtype_name)
                 )
             col_slot_by_name[name] = vslot
-        row_values: Optional[Dict[str, List[Any]]] = None
-        if prog.row_inputs:
-            row_values = {
-                name: [None] * length for name, _slot in prog.row_inputs
-            }
         position = -1
         previous = None
         for ts, name, value in events:
             if ts != previous:
                 position += 1
                 previous = ts
-            vslot = col_slot_by_name.get(name)
-            if vslot is not None:
-                masks[vslot][position] = True
-                column = cols[vslot]
-                if column is not None:
-                    column[position] = value
-            else:
-                row_values[name][position] = value
-        self._vector_exec(ts_list, cols, masks, row_values, bound_ts)
+            vslot = col_slot_by_name[name]
+            masks[vslot][position] = True
+            column = cols[vslot]
+            if column is not None:
+                column[position] = value
+        self._vector_exec(ts_list, cols, masks)
 
     def _vector_exec(
         self,
         ts_list: List[int],
         cols: List[Any],
         masks: List[Any],
-        row_values: Optional[Dict[str, List[Any]]],
-        bound_ts: int,
         ts_arr: Any = None,
     ) -> None:
         np = self.NP
@@ -1232,12 +986,9 @@ class VectorMonitorBase(PlanMonitorBase):
                         length, dtype=kernels.resolve_dtype(np, dtype_name)
                     )
                 )
-        if prog.pure:
-            self._emit_columns(ts_list, cols, masks)
-            self._store_last_columns(np, cols, masks)
-            self._done_ts = ts_list[-1]
-        else:
-            self._hybrid_loop(ts_list, cols, masks, row_values, bound_ts)
+        self._emit_columns(ts_list, cols, masks)
+        self._store_last_columns(np, cols, masks)
+        self._done_ts = ts_list[-1]
 
     def _exec_kernel(
         self,
@@ -1391,8 +1142,10 @@ class VectorMonitorBase(PlanMonitorBase):
         emit = self._on_output
         np = self.NP
         sched = prog.out_sched
+        if not sched:
+            return
         if len(sched) == 1:
-            name, _slot, vslot, is_unit = sched[0]
+            name, vslot, is_unit = sched[0]
             indices = np.flatnonzero(masks[vslot])
             if not indices.size:
                 return
@@ -1404,8 +1157,8 @@ class VectorMonitorBase(PlanMonitorBase):
                 for index, value in zip(indices.tolist(), values):
                     emit(name, ts_list[index], value)
             return
-        any_mask = masks[sched[0][2]]
-        for _name, _slot, vslot, _is_unit in sched[1:]:
+        any_mask = masks[sched[0][1]]
+        for _name, vslot, _is_unit in sched[1:]:
             any_mask = any_mask | masks[vslot]
         rows = np.flatnonzero(any_mask).tolist()
         if not rows:
@@ -1416,7 +1169,7 @@ class VectorMonitorBase(PlanMonitorBase):
                 masks[vslot].tolist(),
                 None if is_unit else cols[vslot].tolist(),
             )
-            for name, _slot, vslot, is_unit in sched
+            for name, vslot, is_unit in sched
         ]
         for index in rows:
             ts = ts_list[index]
@@ -1441,182 +1194,6 @@ class VectorMonitorBase(PlanMonitorBase):
                     UNIT_VALUE if is_unit else cols[vslot][indices[-1]].item()
                 )
 
-    def _hybrid_loop(
-        self,
-        ts_list: List[int],
-        cols: List[Any],
-        masks: List[Any],
-        row_values: Optional[Dict[str, List[Any]]],
-        bound_ts: int,
-    ) -> None:
-        """Per-timestamp scalar loop for the ineligible streams.
-
-        Eligible values computed by the columnar pass are bridged in by
-        timestamp index; delay-generated timestamps carry no eligible
-        events (eligibility is dependency-closed away from delays).
-
-        The bridge is *sparse*: instead of materializing every eligible
-        column as a full Python list per batch (paying O(batch length)
-        per bridged stream even when it rarely fires), each bridged
-        slot keeps only its firing positions and the values gathered at
-        those positions, walked by a cursor that advances monotonically
-        with ``column_index``.  The loop still visits every timestamp,
-        but conversion cost is proportional to firings.
-        """
-        prog = self.VPROG
-        plan = self.PLAN
-        np = self.NP
-
-        def _sparse(vslot: int, is_unit: bool) -> Tuple[List[int], Any]:
-            positions = np.flatnonzero(masks[vslot])
-            gathered = (
-                None if is_unit else cols[vslot][positions].tolist()
-            )
-            return positions.tolist(), gathered
-
-        # Mutable entries: the last element is the cursor into positions.
-        bridge = []
-        for slot, vslot, is_unit in prog.bridge:
-            positions, gathered = _sparse(vslot, is_unit)
-            bridge.append([slot, positions, gathered, 0])
-        outputs = []
-        for name, slot, vslot, is_unit in prog.out_sched:
-            if vslot is None:
-                outputs.append([name, slot, None, None, 0])
-            else:
-                positions, gathered = _sparse(vslot, is_unit)
-                outputs.append([name, slot, positions, gathered, 0])
-        vector_lasts = []
-        for vslot, cell, is_unit in prog.last_vec:
-            positions, gathered = _sparse(vslot, is_unit)
-            vector_lasts.append([cell, positions, gathered, 0])
-        values = self._values
-        cells = self._last_cells
-        nxt = self._next_cells
-        emit = self._on_output
-        has_delays = self.HAS_DELAYS
-        n_slots = len(values)
-        length = len(ts_list)
-        index = 0
-        while True:
-            upcoming = self._next_delay() if has_delays else None
-            if index < length:
-                input_ts = ts_list[index]
-                if upcoming is not None and upcoming < input_ts:
-                    ts, column_index = upcoming, None
-                else:
-                    ts, column_index = input_ts, index
-            elif upcoming is not None and upcoming < bound_ts:
-                ts, column_index = upcoming, None
-            else:
-                break
-            for slot in range(n_slots):
-                values[slot] = None
-            if column_index is not None:
-                if row_values is not None:
-                    for name, slot in prog.row_inputs:
-                        value = row_values[name][column_index]
-                        if value is not None:
-                            values[slot] = value
-                for entry in bridge:
-                    positions = entry[1]
-                    cursor = entry[3]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[2]
-                        values[entry[0]] = (
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor]
-                        )
-                        entry[3] = cursor + 1
-            for opcode, dst, args, fn in prog.scalar_ops:
-                if opcode == OP_LIFT_ALL:
-                    triggered = True
-                    for a in args:
-                        if values[a] is None:
-                            triggered = False
-                            break
-                    if triggered:
-                        values[dst] = fn(*[values[a] for a in args])
-                elif opcode == OP_MERGE:
-                    first = values[args[0]]
-                    values[dst] = (
-                        first if first is not None else values[args[1]]
-                    )
-                elif opcode == OP_LIFT_ANY:
-                    triggered = False
-                    for a in args:
-                        if values[a] is not None:
-                            triggered = True
-                            break
-                    if triggered:
-                        values[dst] = fn(*[values[a] for a in args])
-                elif opcode == OP_LAST:
-                    if values[args[1]] is not None:
-                        values[dst] = cells[args[0]]
-                elif opcode == OP_TIME:
-                    if values[args[0]] is not None:
-                        values[dst] = ts
-                elif opcode == OP_UNIT:
-                    if ts == 0:
-                        values[dst] = UNIT_VALUE
-                else:  # OP_DELAY
-                    if nxt[args[0]] == ts:
-                        values[dst] = UNIT_VALUE
-            for entry in outputs:
-                positions = entry[2]
-                if positions is None:
-                    value = values[entry[1]]
-                    if value is not None:
-                        emit(entry[0], ts, value)
-                elif column_index is not None:
-                    cursor = entry[4]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[3]
-                        emit(
-                            entry[0],
-                            ts,
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor],
-                        )
-                        entry[4] = cursor + 1
-            for entry in vector_lasts:
-                if column_index is not None:
-                    positions = entry[1]
-                    cursor = entry[3]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[2]
-                        cells[entry[0]] = (
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor]
-                        )
-                        entry[3] = cursor + 1
-            for slot, cell in prog.last_scalar:
-                value = values[slot]
-                if value is not None:
-                    cells[cell] = value
-            for cell, own_slot, reset_slot, amount_slot in plan.delay_arms:
-                if (
-                    values[reset_slot] is not None
-                    or values[own_slot] is not None
-                ):
-                    amount = values[amount_slot]
-                    nxt[cell] = ts + amount if amount is not None else None
-            self._done_ts = ts
-            if column_index is not None:
-                index += 1
-
 
 # ---------------------------------------------------------------------------
 # Class builder
@@ -1632,39 +1209,38 @@ def make_vector_class(
     metrics: Optional[Any] = None,
     classification: Optional[VectorClassification] = None,
 ) -> type:
-    """Build a vector-engine monitor class for *flat*.
+    """Build a vector-engine monitor class for a wholly eligible *flat*.
 
-    The full execution plan is always built (per-event path, scalar
-    fallback section); the columnar program covers the eligible
-    families.  With an error policy — or nothing eligible — the class
-    degrades to plain plan-engine behavior, error semantics included.
+    The execution plan is built too: the inherited per-event ``push``
+    path and the monitor state run on it.  A spec with an ineligible
+    stream, or an error policy, is refused — the pipeline resolves
+    those to the codegen engine.
     """
     np = kernels.numpy_module()
+    if classification is None:
+        classification = classify_vector(flat, error_policy=error_policy)
+    if classification.auto_engine != "vector":
+        raise ValueError(
+            "spec is not vector-eligible (see its VEC001 notes) or has an"
+            " error policy; compile it with the codegen engine"
+        )
     plan = build_plan(
         flat,
         order,
         backends,
         default_backend=default_backend,
-        error_policy=error_policy,
         metrics=metrics,
     )
-    if classification is None:
-        classification = classify_vector(flat, error_policy=error_policy)
-    if error_policy is not None or not classification.eligible:
-        program = None
-    else:
-        program = build_vector_program(
-            flat, plan, classification, default_backend=default_backend
-        )
     return type(
         class_name,
         (VectorMonitorBase,),
         {
             "INPUTS": tuple(flat.inputs),
             "OUTPUTS": tuple(flat.outputs),
-            "HAS_DELAYS": plan.n_delays > 0,
             "PLAN": plan,
-            "VPROG": program,
+            "VPROG": build_vector_program(
+                flat, classification, default_backend=default_backend
+            ),
             "NP": np,
             "METRICS": metrics if (metrics and getattr(metrics, "enabled", True)) else None,
         },

@@ -17,6 +17,7 @@ from repro.compiler import build_compiled_spec
 from repro.compiler.codegen import generate_monitor_class
 from repro.compiler.kernels import numpy_available
 from repro.compiler.pipeline import instrumented_twin, monitor_class_factory
+from repro.frontend import parse_spec
 from repro.lang import Delay, INT, Specification, TimeExpr, Var
 from repro.obs.metrics import MetricsRegistry
 from repro.speclib import fig1_spec, queue_window, seen_set
@@ -63,10 +64,21 @@ class TestMonitorClassFactory:
             build_compiled_spec(fig1_spec(), engine=engine)
 
 
+# A wholly vector-eligible spec: engine="vector" on the Seen Set would
+# resolve to codegen.
+SCALAR_DIFF = """
+in i: Int
+def prev := last(i, i)
+def d := sub(i, prev)
+out d
+"""
+
+
 class TestInstrumentedTwin:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_twin_keeps_engine_and_outputs(self, engine):
-        compiled = build_compiled_spec(seen_set(), engine=engine)
+        spec = parse_spec(SCALAR_DIFF) if engine == "vector" else seen_set()
+        compiled = build_compiled_spec(spec, engine=engine)
         registry = MetricsRegistry()
         twin = instrumented_twin(compiled, registry)
         assert twin.engine == engine

@@ -1,19 +1,19 @@
 """Unit tests for the vector-eligibility classification.
 
-``classify_vector`` decides, per alias-closed stream family, whether
-the family can execute as columnar numpy kernels: scalar types only,
-registered kernels for every lift, no ``delay`` (data-dependent clock
-feedback inside a batch slice), and no dependency on an ineligible
-stream.  The verdicts drive ``engine="auto"`` resolution and the
-``VEC001``/``VEC002`` diagnostics.
+``classify_vector`` decides, per stream, whether it can execute as
+columnar numpy kernels: scalar types only, registered kernels for every
+lift, no ``delay`` (data-dependent clock feedback inside a batch
+slice), and no dependency on an ineligible stream.  A spec runs on the
+vector engine only when every stream is eligible; the verdicts drive
+``engine="auto"``/``"vector"`` resolution and the ``VEC001``/``VEC002``
+diagnostics.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import api
-from repro.compiler import kernels
+from repro.compiler import build_compiled_spec, kernels
 from repro.compiler.vector import classify_vector
 from repro.errors import ErrorPolicy
 from repro.frontend import parse_spec
@@ -47,7 +47,7 @@ class TestEligible:
     def test_scalar_chain_fully_eligible(self):
         flat, cls = classify(SCALAR_CHAIN)
         assert cls.numpy_ok
-        assert set(flat.streams) <= cls.eligible
+        assert not cls.reasons
         assert cls.auto_engine == "vector"
         assert cls.diagnostics() == []
 
@@ -89,12 +89,12 @@ class TestIneligible:
         check_types(flat)
         cls = classify_vector(flat)
         assert cls.auto_engine == "codegen"
-        assert "seen" not in cls.eligible
+        assert "seen" in cls.reasons
         diags = cls.diagnostics()
         assert diags and all(d.code == "VEC001" for d in diags)
         assert all(d.severity.label == "note" for d in diags)
 
-    def test_delay_is_ineligible_but_rest_vectorizes(self):
+    def test_delay_demotes_the_whole_spec(self):
         _, cls = classify(
             """
             in a: Int
@@ -106,11 +106,11 @@ class TestIneligible:
             out dbl
             """
         )
-        assert "d" not in cls.eligible
-        assert "t" not in cls.eligible  # depends on the delay
-        assert "dbl" in cls.eligible
+        assert "t" in cls.reasons  # depends on the delay
+        assert "dbl" not in cls.reasons
         reasons = dict(cls.reasons)
         assert "clock feedback" in reasons["d"]
+        assert cls.auto_engine == "codegen"
 
     def test_string_type_ineligible(self):
         _, cls = classify(
@@ -120,7 +120,7 @@ class TestIneligible:
             out t
             """
         )
-        assert "t" not in cls.eligible
+        assert "t" in cls.reasons
         assert cls.auto_engine == "codegen"
 
     def test_dependency_on_ineligible_stream_propagates(self):
@@ -136,7 +136,7 @@ class TestIneligible:
             """
         )
         reasons = dict(cls.reasons)
-        assert "plus" not in cls.eligible
+        assert "plus" in cls.reasons
         assert "depends on ineligible stream" in reasons["plus"]
 
     def test_error_policy_disables_vectorization(self):
@@ -145,17 +145,6 @@ class TestIneligible:
         cls = classify_vector(flat, error_policy=ErrorPolicy.PROPAGATE)
         assert cls.error_mode
         assert cls.auto_engine == "codegen"
-
-
-def eager_auto_engine(cls):
-    """The ``auto`` rule with the families built first, shortcut-free."""
-    verdicts = cls.verdicts
-    if not cls.numpy_ok or cls.error_mode or not cls.eligible:
-        return "codegen"
-    for verdict in verdicts:
-        if verdict.outputs and not verdict.eligible:
-            return "codegen"
-    return "vector"
 
 
 MIXED_FAMILIES = """
@@ -170,38 +159,27 @@ out dbl
 """
 
 
-class TestLazyFamilies:
-    """Family verdicts are built on first use, never for ``auto`` alone
-    when an output is already ineligible."""
+class TestPerStreamVerdicts:
+    """One ineligible stream sends the whole spec to codegen, and each
+    ineligible stream gets its own ``VEC001`` note."""
 
-    def test_scalar_output_resolves_codegen_without_partitioning(
-        self, monkeypatch
-    ):
-        import repro.compiler.families as families
+    def test_partly_eligible_spec_resolves_codegen(self):
+        _, cls = classify(MIXED_FAMILIES)
+        assert cls.reasons and "dbl" not in cls.reasons
+        assert cls.auto_engine == "codegen"
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("partition_spec called")
-
-        monkeypatch.setattr(families, "partition_spec", refuse)
-        assert api.compile(seen_set()).engine_resolved == "codegen"
-
-    @pytest.mark.parametrize("spec", [seen_set(), MIXED_FAMILIES])
-    def test_diagnostics_match_eager_classification(self, spec):
-        monitor = api.compile(spec)
-        lazy = [
-            d.to_dict() for d in monitor.diagnostics() if d.code == "VEC001"
-        ]
-        eager_cls = classify_vector(monitor.compiled.flat)
-        eager_cls.verdicts  # build the families before anything else
-        eager = [d.to_dict() for d in eager_cls.diagnostics()]
-        assert lazy and lazy == eager
-
-    @pytest.mark.parametrize(
-        "text", [SCALAR_CHAIN, MIXED_FAMILIES], ids=["scalar", "mixed"]
-    )
-    def test_auto_engine_matches_eager_on_vector_specs(self, text):
-        flat, cls = classify(text)
-        assert cls.auto_engine == eager_auto_engine(classify_vector(flat))
+    def test_one_note_per_ineligible_stream(self):
+        _, cls = classify(MIXED_FAMILIES)
+        diags = cls.diagnostics()
+        assert [d.stream for d in diags] == list(cls.reasons)
+        for diag in diags:
+            assert diag.code == "VEC001"
+            assert cls.reasons[diag.stream] in diag.message
+            assert "compiles with codegen" in diag.message
+            assert diag.witness == {
+                "rule": "vector-fallback",
+                "reason": cls.reasons[diag.stream],
+            }
 
     @settings(
         max_examples=60,
@@ -212,12 +190,19 @@ class TestLazyFamilies:
         spec=specifications(allow_delays=True),
         policy=st.sampled_from([None, ErrorPolicy.PROPAGATE]),
     )
-    def test_auto_engine_matches_eager_on_generated_specs(self, spec, policy):
+    def test_vector_resolves_like_auto_on_generated_specs(self, spec, policy):
         flat = flatten(spec)
         check_types(flat)
-        lazy = classify_vector(flat, error_policy=policy).auto_engine
-        eager_cls = classify_vector(flat, error_policy=policy)
-        assert lazy == eager_auto_engine(eager_cls)
+        cls = classify_vector(flat, error_policy=policy)
+        expected = (
+            "vector" if policy is None and not cls.reasons else "codegen"
+        )
+        assert cls.auto_engine == expected
+        for engine in ("auto", "vector"):
+            compiled = build_compiled_spec(
+                flat, engine=engine, error_policy=policy
+            )
+            assert compiled.engine == expected
 
 
 class TestNumpyAbsent:

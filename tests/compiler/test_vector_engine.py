@@ -11,7 +11,7 @@ metrics, the ``SOURCE`` sentinel — those are pinned here too.
 import pytest
 
 from repro.compiler import build_compiled_spec, kernels
-from repro.compiler.monitor import MonitorError
+from repro.compiler.monitor import MonitorError, freeze
 from repro.frontend import parse_spec
 from repro.lang import check_types, flatten
 
@@ -79,28 +79,43 @@ def chain_events(n=60):
 
 
 class TestProgramShape:
-    def test_pure_spec_gets_vector_program(self):
+    def test_eligible_spec_gets_vector_program(self):
         vec, _ = compile_pair(SCALAR_CHAIN)
+        assert vec.engine == "vector"
         cls = vec.monitor_class
         assert cls.VPROG is not None
-        assert cls.VPROG.pure
         assert "columnar numpy kernels" in cls.SOURCE
 
-    def test_hybrid_spec_gets_scalar_ops(self):
-        vec, _ = compile_pair(HYBRID)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and not prog.pure
-        assert prog.scalar_ops  # the count-aggregate family
-
-    def test_error_policy_degrades_to_plan_program(self):
+    def test_error_policy_resolves_codegen(self):
         vec, _ = compile_pair(SCALAR_CHAIN, error_policy="propagate")
-        assert vec.monitor_class.VPROG is None
+        assert vec.engine == "codegen"
 
-    def test_fully_ineligible_spec_has_no_program(self):
+    def test_fully_ineligible_spec_resolves_codegen(self):
         from repro.speclib import seen_set
 
         compiled = build_compiled_spec(seen_set(), engine="vector")
-        assert compiled.monitor_class.VPROG is None
+        assert compiled.engine == "codegen"
+
+    def test_spec_without_outputs_runs_columnar(self):
+        from repro.lang import INT, Specification, Var
+        from repro.lang.ast import Lift
+        from repro.lang.builtins import builtin
+
+        spec = Specification(
+            inputs={"i": INT},
+            definitions={"d": Lift(builtin("add"), (Var("i"), Var("i")))},
+            outputs=[],
+        )
+        vec = build_compiled_spec(spec, engine="vector")
+        assert vec.engine == "vector"
+        assert run_batches(vec, [chain_events(100)]) == []
+
+    def test_builder_refuses_ineligible_spec(self):
+        from repro.compiler.vector import make_vector_class
+
+        vec, _ = compile_pair(HYBRID)
+        with pytest.raises(ValueError, match="not vector-eligible"):
+            make_vector_class(vec.flat, vec.order, vec.backends)
 
 
 class TestBatchBoundaries:
@@ -501,87 +516,111 @@ out agg
 out prev
 """
 
-HYBRID_DELAY = """
-in a: Int
-in r: Unit
-def d := delay(a, r)
-def t := time(d)
-def dbl := add(a, a)
-out t
+MIXED_FAMILIES = """
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def s  := set_contains(yl, i)
+def dbl := add(i, i)
+out s
 out dbl
 """
 
 
-class TestHybridSparseBridge:
-    """The hybrid loop's bridge is cursor-walked over firing positions
-    only — conversion cost scales with firings, not batch length.  The
-    observable contract stays byte-identical to the plan engine."""
+def _value(name, t):
+    return () if name in ("r", "t") else (t * 7) % 11 + 1  # delay amounts > 0
 
-    def _sparse_events(self, n=240):
-        # `a` (the bridged stream) fires on ~1/5 of timestamps; `b`
-        # fires on all of them — the bridge cursor must skip quiet rows.
-        events = []
-        for t in range(1, n + 1):
-            if t % 5 == 0:
-                events.append((t, "a", (t * 7) % 11))
-            events.append((t, "b", t % 9))
-        return events
+
+def _sparse_inputs(names, n=240):
+    """Per-stream traces: the first input fires on every fifth
+    timestamp, the others on every timestamp."""
+    inputs = {name: [] for name in names}
+    for t in range(1, n + 1):
+        for position, name in enumerate(names):
+            if position == 0 and t % 5 and len(names) > 1:
+                continue
+            inputs[name].append((t, _value(name, t)))
+    return inputs
+
+
+# Specs with an ineligible stream: under engine="vector" they compile
+# with codegen, and must still agree with the reference interpreter.
+INELIGIBLE = {
+    "hybrid": (HYBRID, ["i"]),
+    "sparse_bridge": (SPARSE_BRIDGE, ["a", "b"]),
+    "hybrid_last": (HYBRID_LAST, ["a", "t"]),
+    "delayed": (DELAYED, ["a", "r"]),
+    "mixed_families": (MIXED_FAMILIES, ["i"]),
+}
+END_TIME = 300
+
+
+def _reference(text, inputs):
+    from repro.testing import reference_outputs
+
+    return reference_outputs(parse_spec(text), inputs, end_time=END_TIME)
+
+
+def _collecting_monitor(text, outputs):
+    from repro import api
+
+    monitor = api.compile(text, api.CompileOptions(engine="vector"))
+    assert monitor.engine_resolved == "codegen"
+    for name in monitor.outputs:
+        outputs[name] = []
+    return monitor.compiled.new_monitor(
+        lambda n, t, v: outputs[n].append((t, freeze(v)))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(INELIGIBLE))
+class TestIneligibleSpecsResolveCodegen:
+    """The specs the vector engine used to run as a columnar pass plus
+    a plan-op loop now compile with codegen under ``engine="vector"``
+    and stay exact under every batch split and ``feed_columns``."""
+
+    def test_resolves_codegen(self, name):
+        from repro import api
+
+        text, _ = INELIGIBLE[name]
+        monitor = api.compile(text, api.CompileOptions(engine="vector"))
+        assert monitor.engine_requested == "vector"
+        assert monitor.engine_resolved == "codegen"
+        codes = {d.code for d in monitor.diagnostics()}
+        assert "VEC001" in codes
 
     @pytest.mark.parametrize("split", [1, 3, 17, 240])
-    def test_sparse_bridge_differential(self, split):
-        vec, plan = compile_pair(SPARSE_BRIDGE)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and not prog.pure
-        assert prog.bridge, "spec must exercise the eligible->scalar bridge"
-        events = self._sparse_events()
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
-
-    @pytest.mark.parametrize("split", [2, 11, 120])
-    def test_vector_last_cells_differential(self, split):
-        vec, plan = compile_pair(HYBRID_LAST)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and prog.last_vec and prog.bridge
-        events = []
-        for t in range(1, 121):
-            if t % 3 == 0:
-                events.append((t, "a", t * 2))
-            if t % 4 == 0:
-                events.append((t, "t", ()))
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
-
-    @pytest.mark.parametrize("split", [1, 5, 60])
-    def test_delay_timestamps_do_not_advance_cursors(self, split):
-        # Delay-generated timestamps have no column index; the bridge,
-        # output and last-cell cursors must hold still across them.
-        vec, plan = compile_pair(HYBRID_DELAY)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and prog.bridge
-        events = []
-        t = 1
-        for k in range(60):
-            events.append((t, "a", k % 9 + 1))
-            if k % 4 == 0:
-                events.append((t, "r", ()))
-            t += 3
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches, end_time=t + 10) == run_batches(
-            plan, [events], end_time=t + 10
+    def test_feed_batch_matches_reference(self, name, split):
+        text, names = INELIGIBLE[name]
+        inputs = _sparse_inputs(names)
+        events = sorted(
+            (ts, stream, value)
+            for stream, trace in inputs.items()
+            for ts, value in trace
         )
+        got = {}
+        monitor = _collecting_monitor(text, got)
+        for i in range(0, len(events), split):
+            monitor.feed_batch(events[i : i + split])
+        monitor.finish(end_time=END_TIME)
+        assert all(got.values())
+        assert got == _reference(text, inputs)
 
-    def test_all_firing_rows_bridge(self):
-        # Dense case: every timestamp fires every stream; the cursors
-        # advance in lock-step with the column index.
-        vec, plan = compile_pair(SPARSE_BRIDGE)
-        events = []
-        for t in range(1, 101):
-            events.append((t, "a", t))
-            events.append((t, "b", t + 4))
-        assert run_batches(vec, [events]) == run_batches(plan, [events])
+    def test_feed_columns_matches_reference(self, name):
+        text, names = INELIGIBLE[name]
+        ts = list(range(1, 121))
+        columns = {stream: [_value(stream, t) for t in ts] for stream in names}
+        got = {}
+        monitor = _collecting_monitor(text, got)
+        for i in range(0, len(ts), 50):
+            monitor.feed_columns(
+                ts[i : i + 50],
+                {stream: col[i : i + 50] for stream, col in columns.items()},
+            )
+        monitor.finish(end_time=END_TIME)
+        inputs = {
+            stream: list(zip(ts, col)) for stream, col in columns.items()
+        }
+        assert all(got.values())
+        assert got == _reference(text, inputs)

@@ -1,12 +1,14 @@
-"""Engine negotiation: ``CompileOptions(engine="auto")``.
+"""Engine negotiation: ``CompileOptions(engine="auto")`` and ``"vector"``.
 
-``auto`` resolves per spec — ``vector`` when every output-reachable
-family is vector-eligible and numpy is importable, else ``codegen`` —
-and the resolution is observable (``Monitor.engine_resolved``),
-explained (``VEC001``/``VEC002`` diagnostics) and fingerprinted (the
-resolved engine, never the literal ``"auto"``, keys plan cache and
-checkpoints).  Explicit engine strings keep working unchanged, and a
-numpy-less process must degrade gracefully.
+``auto`` resolves per spec — ``vector`` when every stream is
+vector-eligible, numpy is importable and no error policy is set, else
+``codegen`` — and the resolution is observable
+(``Monitor.engine_resolved``), explained (``VEC001``/``VEC002``
+diagnostics) and fingerprinted (the resolved engine, never the literal
+request, keys plan cache and checkpoints).  ``vector`` resolves the
+same way, except that it raises without numpy.  ``codegen`` and
+``plan`` are kept as requested, and a numpy-less process must degrade
+gracefully.
 """
 
 import pytest
@@ -20,6 +22,28 @@ in i: Int
 def prev := last(i, i)
 def d := sub(i, prev)
 out d
+"""
+
+# One scalar output on the columnar path, one set-typed output that is not.
+PARTLY_ELIGIBLE = """
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def s  := set_contains(yl, i)
+def dbl := add(i, i)
+out s
+out dbl
+"""
+
+# The ineligible set chain feeds no output.
+DEAD_INELIGIBLE_FAMILY = """
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def dbl := add(i, i)
+out dbl
 """
 
 has_numpy = kernels.numpy_available()
@@ -72,18 +96,55 @@ class TestResolution:
             api.CompileOptions(engine="jit")
 
     @needs_numpy
-    def test_fallback_diagnostic_names_the_family(self):
+    def test_fallback_diagnostic_names_the_stream(self):
         monitor = api.compile(
             seen_set(), api.CompileOptions(engine="auto")
         )
         vec = [d for d in monitor.diagnostics() if d.code == "VEC001"]
         assert vec
-        diagnostic = vec[0]
-        assert diagnostic.severity.label == "note"
-        assert diagnostic.source == "vector"
-        assert diagnostic.witness["rule"] == "vector-fallback"
-        assert diagnostic.witness["family"]  # the member streams
-        assert diagnostic.witness["reasons"]  # per-stream explanations
+        flat = monitor.compiled.flat
+        for diagnostic in vec:
+            assert diagnostic.stream in flat.streams
+            assert diagnostic.severity.label == "note"
+            assert diagnostic.source == "vector"
+            assert diagnostic.witness["rule"] == "vector-fallback"
+            assert diagnostic.witness["reason"] in diagnostic.message
+            assert "compiles with codegen" in diagnostic.message
+
+
+# Resolution table: spec x error policy -> resolved engine with numpy.
+# Without numpy, "auto" always resolves to codegen and "vector" raises.
+RESOLUTION_CASES = {
+    "wholly_eligible": (ELIGIBLE, None, "vector"),
+    "partly_eligible": (PARTLY_ELIGIBLE, None, "codegen"),
+    "seen_set": (seen_set(), None, "codegen"),
+    "error_policy": (ELIGIBLE, "propagate", "codegen"),
+    "dead_ineligible_family": (DEAD_INELIGIBLE_FAMILY, None, "codegen"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESOLUTION_CASES))
+@pytest.mark.parametrize("engine", ["auto", "vector"])
+class TestResolutionTable:
+    def compile(self, case, engine):
+        spec, policy, _ = RESOLUTION_CASES[case]
+        return api.compile(
+            spec, api.CompileOptions(engine=engine, error_policy=policy)
+        )
+
+    @needs_numpy
+    def test_with_numpy(self, case, engine):
+        monitor = self.compile(case, engine)
+        assert monitor.engine_requested == engine
+        assert monitor.engine_resolved == RESOLUTION_CASES[case][2]
+
+    def test_without_numpy(self, case, engine, monkeypatch):
+        monkeypatch.setattr(kernels, "_np", None)
+        if engine == "vector":
+            with pytest.raises(ValueError, match=r"repro\[vector\]"):
+                self.compile(case, engine)
+        else:
+            assert self.compile(case, engine).engine_resolved == "codegen"
 
 
 class TestNumpyLess:
@@ -127,6 +188,27 @@ class TestFingerprints:
         assert auto.fingerprint == explicit.fingerprint
         plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
         assert auto.fingerprint != plan.fingerprint
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "spec", [seen_set(), PARTLY_ELIGIBLE], ids=["seen_set", "partly"]
+    )
+    def test_vector_codegen_fallback_shares_codegen_plan_cache(
+        self, spec, tmp_path
+    ):
+        cache = str(tmp_path)
+        vector = api.compile(
+            spec, api.CompileOptions(engine="vector", plan_cache=cache)
+        )
+        codegen = api.compile(
+            spec, api.CompileOptions(engine="codegen", plan_cache=cache)
+        )
+        assert vector.engine_resolved == "codegen"
+        assert vector.fingerprint == codegen.fingerprint
+        assert (vector.plan_cache_hit, codegen.plan_cache_hit) == (
+            False,
+            True,
+        )
 
     @needs_numpy
     def test_numpy_presence_forks_auto_fingerprint(self, monkeypatch):

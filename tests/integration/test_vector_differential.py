@@ -5,8 +5,8 @@ de-normalized fixture, the vector engine must reproduce the reference
 interpreter's outputs event-for-event — under per-event feeding, the
 ``feed_batch`` hot path at several batch sizes, and (for dense scalar
 workloads) ``feed_columns`` — with the rewrite optimizer both off and
-on.  Ineligible specs must take the certified per-family fallback and
-still match byte-for-byte.
+on.  Ineligible specs compile with codegen under ``engine="vector"``
+and must still match byte-for-byte.
 """
 
 import random
@@ -196,7 +196,7 @@ class TestFeedColumnsMatrix:
 
 
 class TestFallbackIdentity:
-    """Ineligible specs under engine='vector' fall back per family and
+    """Ineligible specs under engine='vector' compile with codegen and
     stay byte-identical, with the fallback visible as VEC001."""
 
     def test_seen_set_fallback_diagnostic_and_identity(self):
@@ -205,6 +205,7 @@ class TestFallbackIdentity:
         monitor = api.compile(
             seen_set(), api.CompileOptions(engine="vector")
         )
+        assert monitor.engine_resolved == "codegen"
         codes = [d.code for d in monitor.diagnostics()]
         assert "VEC001" in codes
         got = vector_outputs(seen_set(), inputs, batch_size=16)
