@@ -131,7 +131,10 @@ class CompiledSpec:
         if self.rewrite_result is not None:
             diags.extend(self.rewrite_result.diagnostics())
             diags.sort(key=lambda d: (d.code, d.stream, d.message))
-        if self.vector_info is None and self.engine_requested == "auto":
+        if self.vector_info is None and self.engine_requested in (
+            "auto",
+            "vector",
+        ):
             # A text-keyed cache hit skipped the engine negotiation;
             # redo it (it is syntactic) for the VEC00x notes.
             from .vector import classify_vector
@@ -570,10 +573,12 @@ def build_compiled_spec_from_text(
     if isinstance(plan_cache, str):
         plan_cache = PlanCache(plan_cache)
 
-    # Only "codegen" and "auto" can produce a generated module; the key
-    # holds the requested engine, and the numpy bit for "auto".
+    # Only "codegen" and the engines that may resolve to it can produce a
+    # generated module; the key holds the requested engine, and the
+    # numpy bit for "auto"/"vector" (so "vector" without numpy never
+    # hits an entry and still raises below).
     text_key: Optional[str] = None
-    if plan_cache is not None and engine in ("codegen", "auto"):
+    if plan_cache is not None and engine in ("codegen", "auto", "vector"):
         text_key = text_fingerprint(
             text,
             optimize=optimize,

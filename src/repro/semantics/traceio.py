@@ -17,6 +17,10 @@ Two ingestion modes:
 
 * :func:`read_trace` — strict: any malformed line, negative timestamp,
   or duplicate event raises :class:`TraceError` naming the line.
+  :func:`iter_trace_events` with the default policy is the streaming
+  strict reader; both parse blocks of lines at a time and read a block
+  line by line only when it holds anything but ``<ts>: <name> = <int>``
+  lines.
 * :class:`TolerantReader` / :func:`read_trace_tolerant` — configurable
   via :class:`IngestPolicy`: malformed lines and unknown streams can be
   skipped and counted, out-of-order events can be dropped or repaired
@@ -30,6 +34,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import (
     Any,
     Callable,
@@ -59,6 +64,15 @@ class TraceError(Exception):
 _LINE_RE = re.compile(
     r"^\s*(?P<ts>-?\d+)\s*:\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s*(?:=\s*(?P<value>.+?))?\s*$"
+)
+
+#: The dominant line shape, ``<ts>: <name> = <int>`` with ASCII digits
+#: and space/tab padding (plus the ``\n`` file iteration leaves on).
+#: Every line it matches parses to the same event on the general path;
+#: anything else (comments, signs on the timestamp, ``+5``, other
+#: literals, other whitespace) falls through to that path.
+_FAST_LINE_RE = re.compile(
+    r"([0-9]+):[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]*=[ \t]*(-?[0-9]+)[ \t]*\n?"
 )
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -137,6 +151,16 @@ def parse_line(raw: str, lineno: int = 0) -> Optional[TraceEvent]:
     Returns ``None`` for blank and comment lines; raises
     :class:`TraceError` naming *lineno* for anything malformed.
     """
+    match = _FAST_LINE_RE.fullmatch(raw)
+    if match is not None:
+        ts, name, value = match.groups()
+        return int(ts), name, int(value)
+    return _parse_line_general(raw, lineno)
+
+
+def _parse_line_general(raw: str, lineno: int) -> Optional[TraceEvent]:
+    """:func:`parse_line` for every line shape (comments, units, any
+    literal, surrounding whitespace)."""
     line = raw.split("--")[0].split("#")[0].strip()
     if not line:
         return None
@@ -168,12 +192,10 @@ def read_trace(source: Union[str, TextIO]) -> Traces:
     else:
         text = source
     traces: Traces = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parsed = parse_line(raw, lineno)
-        if parsed is None:
-            continue
-        ts, name, value = parsed
-        traces.setdefault(name, []).append((ts, value))
+    blocks = _strict_blocks(text.splitlines(), IngestStats(), ordered=False)
+    for block in blocks:
+        for ts, name, value in block:
+            traces.setdefault(name, []).append((ts, value))
     for name, events in traces.items():
         events.sort(key=lambda e: e[0])
         for (t1, _), (t2, _) in zip(events, events[1:]):
@@ -245,6 +267,9 @@ class IngestPolicy:
                 )
         if self.max_skew < 0:
             raise ValueError("max_skew must be non-negative")
+
+
+_STRICT = IngestPolicy()
 
 
 @dataclass
@@ -347,17 +372,12 @@ class TolerantReader:
             ):
                 stats.unknown_stream_events += 1
                 if policy.on_unknown_stream == RAISE:
-                    raise TraceError(
-                        f"unknown input stream {name!r} at t={ts}"
-                    )
+                    raise _unknown_stream(name, ts)
                 continue
             if not buffering:
                 if frontier is not None and ts < frontier:
                     if policy.on_out_of_order == RAISE:
-                        raise TraceError(
-                            f"out-of-order event on {name!r}: t={ts}"
-                            f" after t={frontier}"
-                        )
+                        raise _out_of_order(name, ts, frontier)
                     stats.out_of_order_dropped += 1
                     continue
                 frontier = ts
@@ -393,6 +413,153 @@ class TolerantReader:
             yield ets, ename, evalue
 
 
+def _unknown_stream(name: str, ts: int) -> TraceError:
+    return TraceError(f"unknown input stream {name!r} at t={ts}")
+
+
+def _out_of_order(name: str, ts: int, frontier: int) -> TraceError:
+    return TraceError(
+        f"out-of-order event on {name!r}: t={ts} after t={frontier}"
+    )
+
+
+#: Lines the strict reader parses per block: enough to amortize the
+#: per-block work, small enough that only one block is ever held.
+_BLOCK_LINES = 256
+
+
+def _block_columns(
+    chunk: List[str],
+) -> Optional[Tuple[List[int], List[str], List[int]]]:
+    r"""``(timestamps, names, values)`` of a block whose every line has
+    the dominant shape ``<ts>: <name> = <int>``, else ``None``.
+
+    The whole block is tokenized with a few string-wide operations
+    instead of one regex match per line.  Lines are joined with a
+    `` ; `` marker and every ``:`` becomes a token of its own (every
+    ``=`` too, when some ``=`` touches its neighbours), so a line of
+    that shape is exactly the six tokens ``ts : name = value ;``.  The block is accepted only if its tokens
+    are one such group per line: ``:`` and ``=`` in their slots, and
+    timestamp, name and value tokens that are ``[0-9]+``,
+    ``[A-Za-z_][A-Za-z0-9_]*`` and ``[+-]?[0-9]+``.  None of those five
+    slots admits a ``;``, so the markers fill the sixth slot of every
+    group, and each line holds exactly one group: no second event, no
+    comment (``#`` and ``--`` fit no slot either).  Tokens split on
+    whitespace exactly where the general parser's ``\s`` and ``strip``
+    do, so every accepted line parses to the same event there.
+    """
+    lines = len(chunk)
+    text = " ; ".join(chunk)
+    if not text.isascii():  # str.isidentifier admits non-ASCII names
+        return None
+    text = (text + " ;").replace(":", " : ")
+    tokens = text.split()
+    if len(tokens) != 6 * lines:  # some "=" touches its neighbours
+        tokens = text.replace("=", " = ").split()
+    if (
+        len(tokens) != 6 * lines
+        or tokens[1::6].count(":") != lines
+        or tokens[3::6].count("=") != lines
+    ):
+        return None
+    stamps, names, values = tokens[0::6], tokens[2::6], tokens[4::6]
+    if (
+        not "".join(stamps).isdigit()
+        or not all(map(str.isidentifier, set(names)))
+        or "_" in "".join(values)  # int() takes "1_0"; the grammar does not
+    ):
+        return None
+    try:
+        return list(map(int, stamps)), names, list(map(int, values))
+    except ValueError:  # not an integer, or a too-long one
+        return None
+
+
+def _strict_blocks(
+    lines: Iterable[str],
+    stats: IngestStats,
+    known_streams: Optional[Iterable[str]] = None,
+    ordered: bool = True,
+) -> Iterator[List[TraceEvent]]:
+    """Parse trace lines under the all-``raise`` policy, a block at a time.
+
+    Yields lists of events.  A block of dominant-shape lines is parsed
+    into columns (:func:`_block_columns`), and its timestamp order
+    (when *ordered*) and stream names are checked over the whole
+    block.  Any other block — comments, other literals, a fault — is
+    read line by line (:func:`_strict_lines`), so the events before a
+    faulty line are still yielded, the error is the one a
+    line-at-a-time :class:`TolerantReader` raises, and *stats* read as
+    they would after that reader raised.
+    """
+    known = frozenset(known_streams) if known_streams is not None else None
+    lines = iter(lines)
+    lineno = 0
+    frontier = 0  # timestamps are non-negative: 0 admits any first event
+    while True:
+        chunk = list(islice(lines, _BLOCK_LINES))
+        if not chunk:
+            return
+        block: Optional[List[TraceEvent]] = None
+        columns = _block_columns(chunk)
+        if columns is not None:
+            stamps, names, values = columns
+            in_order = not ordered or (
+                frontier <= stamps[0] and stamps == sorted(stamps)
+            )
+            if in_order and (known is None or known.issuperset(names)):
+                block = list(zip(stamps, names, values))
+                stats.lines_read += len(chunk)
+                stats.events_ingested += len(block)
+        if block is None:
+            block, error = _strict_lines(
+                chunk, lineno, frontier, stats, known, ordered
+            )
+            if error is not None:
+                if block:
+                    yield block
+                raise error
+        lineno += len(chunk)
+        if block:
+            frontier = block[-1][0]
+            yield block
+
+
+def _strict_lines(
+    chunk: List[str],
+    lineno: int,
+    frontier: int,
+    stats: IngestStats,
+    known: Optional[frozenset],
+    ordered: bool,
+) -> Tuple[List[TraceEvent], Optional[Exception]]:
+    """Read one block line by line: ``(events, None)``, or ``(events
+    before the fault, the fault's error)``, counting into *stats* like
+    the all-``raise`` :class:`TolerantReader` does."""
+    events: List[TraceEvent] = []
+    for lineno, raw in enumerate(chunk, lineno + 1):
+        stats.lines_read += 1
+        try:
+            parsed = parse_line(raw, lineno)
+        except TraceError as err:
+            stats.malformed_lines += 1
+            return events, err
+        except ValueError as err:  # int() refusing an over-long literal
+            return events, err
+        if parsed is None:
+            continue
+        ts, name, _ = parsed
+        if known is not None and name not in known:
+            stats.unknown_stream_events += 1
+            return events, _unknown_stream(name, ts)
+        if ordered and ts < frontier:
+            return events, _out_of_order(name, ts, frontier)
+        frontier = ts
+        stats.events_ingested += 1
+        events.append(parsed)
+    return events, None
+
+
 def iter_trace_events(
     source: Union[str, TextIO],
     policy: Optional[IngestPolicy] = None,
@@ -404,11 +571,25 @@ def iter_trace_events(
     With the default (all-``raise``) policy this is a streaming strict
     parse; pass an :class:`IngestPolicy` to survive bad input.  Pass a
     *stats* object to observe the counters after iteration.
+
+    The default policy reads a block of lines at a time and yields
+    exactly what :class:`TolerantReader` would: the same events, the
+    same error after the same prefix, and the same counters once
+    iteration ends or raises (mid-iteration they may run one block
+    ahead of the consumer).
     """
     if hasattr(source, "read"):
         lines: Iterable[str] = source  # file objects iterate by line
     else:
         lines = source.splitlines()
+    if policy is None or policy == _STRICT:
+        return chain.from_iterable(
+            _strict_blocks(
+                lines,
+                stats if stats is not None else IngestStats(),
+                known_streams,
+            )
+        )
     reader = TolerantReader(policy, known_streams)
     if stats is not None:
         reader.stats = stats
@@ -430,9 +611,9 @@ def batch_events(
     single timestamp with more than *batch_size* events yields one
     oversized batch.
 
-    In-memory sequences are sliced at computed cut points instead of
-    re-accumulated event by event, so batching a materialized trace
-    costs a handful of slices rather than one append per event.
+    Batches are cut by slicing — list slices for in-memory sequences,
+    :func:`itertools.islice` for iterators, each extended to the end
+    of its last timestamp — rather than re-accumulated event by event.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -445,17 +626,20 @@ def batch_events(
             yield list(events[start:cut])
             start = cut
         return
-    batch: List[TraceEvent] = []
-    for event in events:
-        if (
-            len(batch) >= batch_size
-            and batch[-1][0] != event[0]
-        ):
+    events = iter(events)
+    batch = list(islice(events, batch_size))
+    while batch:
+        last = batch[-1][0]
+        for event in events:
+            if event[0] != last:
+                yield batch
+                batch = [event]
+                batch.extend(islice(events, batch_size - 1))
+                break
+            batch.append(event)
+        else:
             yield batch
-            batch = []
-        batch.append(event)
-    if batch:
-        yield batch
+            return
 
 
 def read_trace_tolerant(

@@ -33,8 +33,12 @@ def _hash(key: Any) -> int:
     return hash(key) & 0xFFFFFFFF
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+if hasattr(int, "bit_count"):  # Python >= 3.10
+    _popcount = int.bit_count
+else:  # pragma: no cover - Python 3.9
+
+    def _popcount(x: int) -> int:
+        return bin(x).count("1")
 
 
 class _Entry:

@@ -581,6 +581,29 @@ class TestAutoTextPath:
             d.code for d in cold.diagnostics()
         ]
 
+    def test_warm_vector_compile_skips_the_frontend(self, tmp_path, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro import api
+
+        events = [(t, "i", t % 7) for t in range(1, 80)]
+        opts = api.CompileOptions(plan_cache=str(tmp_path), engine="vector")
+        cold = api.compile(SEEN_SET_TEXT, opts)
+        assert cold.engine_resolved == "codegen"
+        _fail_parse(monkeypatch)
+        warm = api.compile(SEEN_SET_TEXT, opts)
+        assert warm.plan_cache_hit is True
+        assert (warm.engine_requested, warm.engine_resolved) == (
+            "vector",
+            "codegen",
+        )
+        assert self._outputs(warm, events) == self._outputs(cold, events)
+        monkeypatch.undo()
+        cold_diags = [(d.code, d.stream, d.message) for d in cold.diagnostics()]
+        assert any(code == "VEC001" for code, _, _ in cold_diags)
+        assert [
+            (d.code, d.stream, d.message) for d in warm.diagnostics()
+        ] == cold_diags
+
     def test_const_lifts_take_the_text_path(self, tmp_path, monkeypatch):
         from repro import api
         from repro.compiler.codegen import lift_recipe
