@@ -16,7 +16,8 @@ so results are auditable (why is this stream persistent?) and gateable
 * ``OPT00x`` — provenance of the spec-level rewrite optimizer
   (:mod:`repro.opt`), one note per applied (or guard-rejected)
   rewrite, attached by :meth:`repro.compiler.pipeline.CompiledSpec.diagnostics`
-  when compiled with ``rewrite=True``.
+  when compiled with ``rewrite=True``; ``OPT008`` (write-then-read
+  fusion) also on every default optimizing compile that fused a read.
 
 The full catalogue lives in ``docs/analysis.md`` ("Diagnostics codes").
 
@@ -83,6 +84,7 @@ CATALOG: Dict[str, Any] = {
     "OPT005": ("dead stream eliminated", Severity.NOTE),
     "OPT006": ("never-firing stream normalized to nil", Severity.NOTE),
     "OPT007": ("rewrite rejected by mutable-share guard", Severity.NOTE),
+    "OPT008": ("write-then-read fused", Severity.NOTE),
     "VEC001": ("vector-ineligible stream (codegen fallback)", Severity.NOTE),
     "VEC002": ("vector engine unavailable (numpy missing)", Severity.NOTE),
     "WIN001": ("window aggregate on the O(1) delta path", Severity.NOTE),

@@ -69,8 +69,10 @@ class CompileOptions:
     string value.
     """
 
-    #: Run the paper's mutability analysis (``False`` — the
-    #: exclusively-persistent baseline).  Also accepts a mode string:
+    #: Run the paper's mutability analysis, after write-then-read
+    #: fusion (``OPT008``) unless ``backend`` is set (``False`` — the
+    #: exclusively-persistent baseline, spec as written).  Also accepts
+    #: a mode string:
     #: ``"none"`` (no analysis), ``"mutability"`` (analysis only, the
     #: ``True`` default) or ``"rewrite"``/``"full"`` (analysis plus the
     #: spec-level rewrite optimizer, i.e. ``rewrite=True``).

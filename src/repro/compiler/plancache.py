@@ -164,7 +164,7 @@ def text_fingerprint(
     plan across a toggle.
     """
     options = (
-        "text-opts-v3",
+        "text-opts-v4",
         bool(optimize),
         backend_override.name if backend_override is not None else None,
         bool(alias_guard),

@@ -647,6 +647,59 @@ SET_UPDATE_IF = register(
     )
 )
 
+# ---------------------------------------------------------------------------
+# Write-then-read fusions (OPT008)
+# ---------------------------------------------------------------------------
+#
+# ``r(w(a, xs...), ys...)`` where the written aggregate is only read:
+# one Read-class builtin over the *unwritten* aggregate yields the same
+# value, so the write — and the copy it forces on a persistent backend —
+# disappears.  ALL∘ALL keeps the clock: the fused lift fires iff ``a``,
+# ``xs`` and ``ys`` all do.  They are registered so the text-keyed
+# plan-cache recipe path can resolve them by name.
+
+SET_SIZE_AFTER_ADD = _define(
+    "set_size_after_add",
+    EventPattern.ALL,
+    (_R, _N),
+    (SetType(_A), _A),
+    INT,
+    lambda s, x: len(s) + (0 if x in s else 1),
+)
+SET_CONTAINS_AFTER_ADD = _define(
+    "set_contains_after_add",
+    EventPattern.ALL,
+    (_R, _N, _N),
+    (SetType(_A), _A, _A),
+    BOOL,
+    lambda s, x, y: y == x or y in s,
+)
+MAP_GET_OR_AFTER_PUT = _define(
+    "map_get_or_after_put",
+    EventPattern.ALL,
+    (_R, _N, _N, _N, _N),
+    (MapType(_K, _V), _K, _V, _K, _V),
+    _V,
+    lambda m, k, v, k2, d: v if k2 == k else m.get(k2, d),
+)
+QUEUE_SIZE_AFTER_ENQ = _define(
+    "queue_size_after_enq",
+    EventPattern.ALL,
+    (_R, _N),
+    (QueueType(_A), _A),
+    INT,
+    lambda q, x: len(q) + 1,
+)
+
+#: ``(write, read) → fused``: ``fused(a, xs..., ys...)`` equals
+#: ``read(write(a, xs...), ys...)`` on every backend.
+FUSIONS: Dict[Tuple[str, str], LiftedFunction] = {
+    ("set_add", "set_size"): SET_SIZE_AFTER_ADD,
+    ("set_add", "set_contains"): SET_CONTAINS_AFTER_ADD,
+    ("map_put", "map_get_or"): MAP_GET_OR_AFTER_PUT,
+    ("queue_enq", "queue_size"): QUEUE_SIZE_AFTER_ENQ,
+}
+
 # TIME is currently interchangeable with INT in signatures; expose an
 # explicit alias so specs reading timestamps type-check descriptively.
 _ = TIME

@@ -27,7 +27,7 @@ from ..lang.spec import FlatSpec
 from ..obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
 from .rewrite import ALL_RULES, Candidate, RewriteRecord, RewriteRule
 
-__all__ = ["OptimizationResult", "optimize_flat"]
+__all__ = ["OptimizationResult", "optimize_flat", "record_diagnostics"]
 
 
 def _has_aggregates(flat: FlatSpec) -> bool:
@@ -82,41 +82,9 @@ class OptimizationResult:
         return [r for r in self.records if not r.applied]
 
     def diagnostics(self) -> List["Diagnostic"]:
-        """The provenance records as ``OPT00x`` diagnostics.
-
-        Applied rewrites keep their rule code; certification rejections
-        are surfaced as ``OPT007`` so a spec author can see which
-        rewrites the mutable-share guard vetoed (and why).
-        """
-        from ..analysis.diagnostics import CATALOG, Diagnostic, Severity
-
-        diags = []
-        for record in self.records:
-            code = record.code if record.applied else "OPT007"
-            witness = {
-                "rule": record.rule,
-                "applied": record.applied,
-                "detail": record.detail,
-                "removed": list(record.removed),
-                "renamed": dict(record.renamed),
-            }
-            if record.mutable_before is not None:
-                witness["mutable_before"] = record.mutable_before
-                witness["mutable_after"] = record.mutable_after
-            message = record.description
-            if not record.applied and record.reason:
-                message = f"{record.description} — rejected: {record.reason}"
-            diags.append(
-                Diagnostic(
-                    code=code,
-                    severity=CATALOG.get(code, (code, Severity.NOTE))[1],
-                    stream=record.stream,
-                    message=message,
-                    source="optimizer",
-                    witness=witness,
-                )
-            )
-        return sorted(diags, key=lambda d: (d.code, d.stream, d.message))
+        """The provenance records as ``OPT00x`` diagnostics (see
+        :func:`record_diagnostics`)."""
+        return record_diagnostics(self.records)
 
     def summary(self) -> Dict[str, object]:
         """JSON-safe summary (CLI ``--json`` and benchmarks)."""
@@ -132,6 +100,44 @@ class OptimizationResult:
             "removed": list(self.removed),
             "records": [r.to_dict() for r in self.records],
         }
+
+
+def record_diagnostics(records: List[RewriteRecord]) -> List["Diagnostic"]:
+    """Rewrite provenance records as ``OPT00x`` diagnostics.
+
+    Applied rewrites keep their rule code; certification rejections
+    are surfaced as ``OPT007`` so a spec author can see which rewrites
+    the mutable-share guard vetoed (and why).
+    """
+    from ..analysis.diagnostics import CATALOG, Diagnostic, Severity
+
+    diags = []
+    for record in records:
+        code = record.code if record.applied else "OPT007"
+        witness = {
+            "rule": record.rule,
+            "applied": record.applied,
+            "detail": record.detail,
+            "removed": list(record.removed),
+            "renamed": dict(record.renamed),
+        }
+        if record.mutable_before is not None:
+            witness["mutable_before"] = record.mutable_before
+            witness["mutable_after"] = record.mutable_after
+        message = record.description
+        if not record.applied and record.reason:
+            message = f"{record.description} — rejected: {record.reason}"
+        diags.append(
+            Diagnostic(
+                code=code,
+                severity=CATALOG.get(code, (code, Severity.NOTE))[1],
+                stream=record.stream,
+                message=message,
+                source="optimizer",
+                witness=witness,
+            )
+        )
+    return sorted(diags, key=lambda d: (d.code, d.stream, d.message))
 
 
 def _gather(

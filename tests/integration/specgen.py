@@ -61,7 +61,12 @@ def aggregate_chain(draw, tag, triggers):
     * 0-2 reads of the sampled value (contains / size)
     * optionally a second last over the written stream on another
       trigger with a read (Fig. 4 upper shape) or a WRITE (Fig. 4 lower
-      shape, forcing persistence)
+      shape).  Only the second write's size is read in ``write_again``,
+      so write-then-read fusion (OPT008) removes it; ``write_out``
+      outputs the forked set itself, which cannot fuse and keeps the
+      family persistent.
+    * optionally a ``peek``: a second write on the sampled set whose
+      result is only read (fusible)
     """
     trigger = draw(st.sampled_from(triggers))
     m, last, acc = f"{tag}_m", f"{tag}_l", f"{tag}"
@@ -81,7 +86,12 @@ def aggregate_chain(draw, tag, triggers):
         else:
             definitions[read] = Lift(builtin("set_size"), (Var(last),))
         outputs.append(read)
-    shape = draw(st.sampled_from(["none", "read_again", "write_again"]))
+    if draw(st.booleans()):
+        definitions.update(_peek(draw, tag, "set_add", last, triggers))
+        outputs.append(f"{tag}_pr")
+    shape = draw(
+        st.sampled_from(["none", "read_again", "write_again", "write_out"])
+    )
     if shape != "none" and len(triggers) > 1:
         other = draw(st.sampled_from(triggers))
         second = f"{tag}_p"
@@ -97,15 +107,42 @@ def aggregate_chain(draw, tag, triggers):
             definitions[write2] = Lift(
                 builtin("set_add"), (Var(second), Var(other))
             )
-            size2 = f"{tag}_rw"
-            definitions[size2] = Lift(builtin("set_size"), (Var(write2),))
-            outputs.append(size2)
+            if shape == "write_out":
+                outputs.append(write2)
+            else:
+                size2 = f"{tag}_rw"
+                definitions[size2] = Lift(
+                    builtin("set_size"), (Var(write2),)
+                )
+                outputs.append(size2)
     return definitions, outputs
+
+
+def _peek(draw, tag, write_op, last, triggers):
+    """``{tag}_pk := write(last, ...)`` read once by ``{tag}_pr``: a
+    write-then-read pair from the fusion table (OPT008)."""
+    x = Var(draw(st.sampled_from(triggers)))
+    y = Var(draw(st.sampled_from(triggers)))
+    peek = Var(f"{tag}_pk")
+    if write_op == "map_put":
+        write = Lift(builtin("map_put"), (Var(last), x, TimeExpr(y)))
+        read = Lift(builtin("map_get_or"), (peek, y, x))
+    elif write_op == "queue_enq":
+        write = Lift(builtin("queue_enq"), (Var(last), x))
+        read = Lift(builtin("queue_size"), (peek,))
+    elif draw(st.booleans()):
+        write = Lift(builtin("set_add"), (Var(last), x))
+        read = Lift(builtin("set_contains"), (peek, y))
+    else:
+        write = Lift(builtin("set_add"), (Var(last), x))
+        read = Lift(builtin("set_size"), (peek,))
+    return {f"{tag}_pk": write, f"{tag}_pr": read}
 
 
 @st.composite
 def map_chain(draw, tag, triggers):
-    """A map accumulator family: put/remove writes, get/size reads."""
+    """A map accumulator family: put/remove writes, get/size reads,
+    optionally a ``peek``."""
     trigger = draw(st.sampled_from(triggers))
     key_src = draw(st.sampled_from(triggers))
     m, last, acc = f"{tag}_m", f"{tag}_l", f"{tag}"
@@ -138,12 +175,16 @@ def map_chain(draw, tag, triggers):
         size = f"{tag}_sz"
         definitions[size] = Lift(builtin("map_size"), (Var(last),))
         outputs.append(size)
+    if draw(st.booleans()):
+        definitions.update(_peek(draw, tag, "map_put", last, triggers))
+        outputs.append(f"{tag}_pr")
     return definitions, outputs
 
 
 @st.composite
 def queue_chain(draw, tag, triggers):
-    """A queue family: enqueue, conditional dequeue, front/size reads."""
+    """A queue family: enqueue, conditional dequeue, front/size reads,
+    optionally a ``peek``."""
     trigger = draw(st.sampled_from(triggers))
     limit = draw(st.integers(1, 5))
     m, last, q1, acc = f"{tag}_m", f"{tag}_l", f"{tag}_e", f"{tag}"
@@ -163,7 +204,11 @@ def queue_chain(draw, tag, triggers):
         ),
         acc: Lift(builtin("queue_deq_if"), (Var(q1), Var(f"{tag}_full"))),
     }
-    return definitions, [f"{tag}_sz", f"{tag}_hd"]
+    outputs = [f"{tag}_sz", f"{tag}_hd"]
+    if draw(st.booleans()):
+        definitions.update(_peek(draw, tag, "queue_enq", last, triggers))
+        outputs.append(f"{tag}_pr")
+    return definitions, outputs
 
 
 @st.composite

@@ -10,10 +10,11 @@ interpreter must produce identical output traces.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.compiler import build_compiled_spec, freeze
-from repro.lang import flatten
+from repro.compiler.runtime import MonitorRunner
+from repro.lang import check_types, flatten
 from repro.semantics import Stream, interpret
 from repro.speclib import (
     db_access_constraint,
@@ -189,6 +190,55 @@ class TestRandomSpecs:
             assert (edge.src in result.mutable) == (edge.dst in result.mutable)
         for constraint in result.active_constraints:
             assert position[constraint.reader] < position[constraint.writer]
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+            HealthCheck.filter_too_much,
+        ],
+    )
+    @given(data=__import__("hypothesis").strategies.data())
+    def test_write_read_fusion_on_random_specs(self, data):
+        """With OPT008 firing, the default compile never demotes a
+        stream the unfused analysis certified (the OPT007 invariant),
+        and agrees with the interpreter through ``push``,
+        ``feed_batch`` and the alias guard."""
+        from repro.analysis import analyze_mutability
+
+        spec = data.draw(specifications())
+        compiled = build_compiled_spec(spec)
+        assume(compiled.fusions)
+        flat = flatten(spec)
+        check_types(flat)
+        removed = {record.detail["write"] for record in compiled.fusions}
+        unfused = analyze_mutability(flat).mutable
+        assert unfused - removed <= compiled.mutable_streams
+
+        inputs = data.draw(traces(list(spec.inputs)))
+        reference = reference_outputs(spec, inputs)
+        events = sorted(
+            ((ts, name, value) for name, trace in inputs.items()
+             for ts, value in trace),
+            key=lambda event: event[0],
+        )
+        for mode in ("push", "feed_batch"):
+            collected = {name: [] for name in flat.outputs}
+            runner = MonitorRunner(
+                compiled,
+                lambda n, t, v: collected[n].append((t, freeze(v))),
+            )
+            if mode == "push":
+                for ts, name, value in events:
+                    runner.push(name, ts, value)
+            else:
+                runner.feed_batch(events)
+            runner.finish()
+            assert collected == reference, mode
+        guarded = compiled_outputs(spec, inputs, alias_guard=True)
+        assert guarded == reference
 
 
 class TestExtensionSpecs:

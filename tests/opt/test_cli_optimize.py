@@ -31,6 +31,18 @@ out s
 """
 
 
+DEAD_WRITER_TEXT = """
+in i: Int
+in j: Int
+def m := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y := set_add(yl, i)
+def y2 := set_add(yl, j)
+def s := set_contains(yl, i)
+out s
+"""
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "dup.tessla"
@@ -74,14 +86,34 @@ class TestJsonOutput:
             assert {"code", "rule", "stream", "description"} <= set(record)
 
     def test_trace_adds_copy_counts(self, spec_file, trace_file, capsys):
+        # The default compile already fuses ``s := set_contains(y2, i)``
+        # with the write ``y2`` (OPT008), so the duplicate writer forces
+        # no copy even before the rewrite pass runs.
         assert (
             main(["optimize", "--json", "--trace", trace_file, spec_file])
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
         copies = payload["copies_performed"]
-        assert copies["after"] <= copies["before"]
+        assert copies == {"before": 0, "after": 0}
+
+    def test_trace_counts_copies_the_rewrite_removes(
+        self, tmp_path, capsys
+    ):
+        # A dead second writer is not fused (nothing reads it); it
+        # forces copies until OPT005 removes it.
+        spec = tmp_path / "dead.tessla"
+        spec.write_text(DEAD_WRITER_TEXT)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("1,i,4\n2,j,7\n3,i,4\n4,j,1\n5,i,9\n")
+        assert (
+            main(["optimize", "--json", "--trace", str(trace), str(spec)])
+            == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        copies = payload["copies_performed"]
         assert copies["before"] > 0
+        assert copies["after"] < copies["before"]
 
 
 class TestEmitSpec:

@@ -42,6 +42,20 @@ def flat_of():
     return flat
 
 
+def assert_plain_fused(flat):
+    """The default compile fused ``y2`` into ``s`` (OPT008)."""
+    assert "y2" not in flat.definitions
+    assert str(flat.definitions["s"]) == (
+        "lift(set_contains_after_add)(yl, i, i)"
+    )
+
+
+def assert_rewritten(flat):
+    """The rewrite merged ``y2`` into ``y`` (OPT001)."""
+    assert "y2" not in flat.definitions
+    assert str(flat.definitions["s"]) == "lift(set_contains)(y, i)"
+
+
 class TestFingerprints:
     def test_plan_fingerprint_differs_on_rewrite(self):
         flat = flat_of()
@@ -97,10 +111,11 @@ class TestSharedCacheNeverStale:
         )
         assert warm_plain.plan_cache_hit is True
         assert warm_rewritten.plan_cache_hit is True
-        # the rewritten plan really is the optimized one: fewer streams
-        assert len(warm_rewritten.flat.definitions) < len(
-            warm_plain.flat.definitions
-        )
+        # each plan is its own: both drop ``y2``, the default compile by
+        # fusing it into its reader ``s`` (OPT008), the rewrite by
+        # merging it into ``y`` (OPT001)
+        assert_plain_fused(warm_plain.flat)
+        assert_rewritten(warm_rewritten.flat)
 
     def test_text_keyed_toggle(self, tmp_path):
         """The actual regression: identical text, different options."""
@@ -112,12 +127,14 @@ class TestSharedCacheNeverStale:
             SPEC_TEXT, plan_cache=cache, rewrite=True
         )
         assert rewritten.plan_cache_hit is False
-        assert len(rewritten.flat.definitions) < len(plain.flat.definitions)
+        assert_plain_fused(plain.flat)
+        assert_rewritten(rewritten.flat)
 
         # warm round: each toggle hits its own entry, keeps its plan.
         # (a warm text hit rebuilds the monitor from the cached code
-        # object; its lazy ``.flat`` re-parses the raw text, so the
-        # generated source is the discriminator, not the flat spec)
+        # object; its lazy ``.flat`` re-parses the raw text and applies
+        # the same passes, so both the source and the flat spec tell
+        # the plans apart)
         warm_plain = build_compiled_spec_from_text(
             SPEC_TEXT, plan_cache=cache
         )
@@ -126,8 +143,10 @@ class TestSharedCacheNeverStale:
         )
         assert warm_plain.plan_cache_hit is True
         assert warm_rewritten.plan_cache_hit is True
-        assert "y2" in warm_plain.source
-        assert "y2" not in warm_rewritten.source
+        assert "_f_s(v_yl, v_i, v_i)" in warm_plain.source
+        assert "_f_s(v_y, v_i)" in warm_rewritten.source
+        assert_plain_fused(warm_plain.flat)
+        assert_rewritten(warm_rewritten.flat)
         for compiled in (warm_plain, warm_rewritten):
             results = compiled.run_traces(TRACE)
             assert {
