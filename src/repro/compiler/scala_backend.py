@@ -78,6 +78,10 @@ _SCALA: Dict[str, str] = {
     "queue_front_or": "({0}.headOption.getOrElse({1}))",
     "vec_size": "({0}.size)",
     "vec_get_or": "(if ({1} >= 0 && {1} < {0}.size) {0}({1}) else {2})",
+    "set_size_after_add": "({0}.size + (if ({0}.contains({1})) 0 else 1))",
+    "set_contains_after_add": "({2} == {1} || {0}.contains({2}))",
+    "map_get_or_after_put": "(if ({3} == {1}) {2} else {0}.getOrElse({3}, {4}))",
+    "queue_size_after_enq": "({0}.size + 1)",
 }
 
 _SCALA_WRITE_PERSISTENT: Dict[str, str] = {
