@@ -343,14 +343,22 @@ def window_diagnostics(flat: FlatSpec) -> List[Diagnostic]:
 
 
 def collect_diagnostics(
-    flat: FlatSpec, result: Optional[MutabilityResult] = None
+    flat: FlatSpec,
+    result: Optional[MutabilityResult] = None,
+    notes: Sequence[Diagnostic] = (),
 ) -> List[Diagnostic]:
-    """Lint warnings + analysis provenance for one specification."""
+    """Lint warnings + analysis provenance for one specification.
+
+    *notes* are diagnostics of the passes that produced *flat* (the
+    ``OPT008`` fusion notes of a compiled spec); they are merged into
+    the sorted list.
+    """
     if result is None:
         result = analyze_mutability(flat)
     diags = [lint_diagnostic(w) for w in lint(flat)]
     diags.extend(mutability_diagnostics(result))
     diags.extend(window_diagnostics(flat))
+    diags.extend(notes)
     return sorted(diags, key=lambda d: (d.code, d.stream, d.message))
 
 

@@ -10,7 +10,7 @@ style picture).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..graph.usage_graph import EdgeClass, UsageGraph
 from ..lang.ast import Last
@@ -24,8 +24,14 @@ from .triggering import TriggeringAnalysis
 class AnalysisReport:
     """Bundles every analysis artifact for one specification."""
 
-    def __init__(self, flat: FlatSpec, result: Optional[MutabilityResult] = None):
+    def __init__(
+        self,
+        flat: FlatSpec,
+        result: Optional[MutabilityResult] = None,
+        notes: Sequence[Diagnostic] = (),
+    ):
         self.flat = flat
+        self.notes = tuple(notes)
         self.result = result or analyze_mutability(flat)
         self.graph: UsageGraph = self.result.graph
         self.triggering = TriggeringAnalysis(flat)
@@ -126,7 +132,9 @@ class AnalysisReport:
     def diagnostics(self) -> List[Diagnostic]:
         """Unified lint + mutability-provenance diagnostics (cached)."""
         if self._diagnostics is None:
-            self._diagnostics = collect_diagnostics(self.flat, self.result)
+            self._diagnostics = collect_diagnostics(
+                self.flat, self.result, self.notes
+            )
         return list(self._diagnostics)
 
     def text(self) -> str:

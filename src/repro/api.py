@@ -343,7 +343,9 @@ class Monitor:
 
         *timestamps* is a strictly increasing sequence (list or numpy
         array) and *columns* maps input-stream names to equally long
-        value arrays (``None`` entries mark absent events).  Under the
+        value arrays.  Columns are dense: a stream has an event at every
+        timestamp, and a ``None`` entry is rejected (it is the no-event
+        value); a stream with no events is left out.  Under the
         vector engine the arrays are consumed zero-copy as SoA batch
         buffers; other engines transparently fall back to a row
         conversion, so outputs are byte-identical either way.  Returns

@@ -168,6 +168,22 @@ def _read_trace(path: str, flat) -> List[Tuple[int, str, Any]]:
 _ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "emit-scala", "optimize")
 
 
+def _compiled_flat(flat) -> Tuple[Any, List[Any]]:
+    """The flat spec the default optimizing compile runs, and its
+    ``OPT008`` fusion notes: what ``analyze`` and ``lint`` report."""
+    from .compiler.pipeline import _flat_passes
+    from .opt.engine import record_diagnostics
+
+    fused, _rewrite, fusions = _flat_passes(
+        flat,
+        optimize=True,
+        backend_override=None,
+        rewrite=False,
+        metrics=None,
+    )
+    return fused, record_diagnostics(fusions)
+
+
 def _resolve_engine(args) -> str:
     """The engine string for :class:`repro.api.CompileOptions`.
 
@@ -910,7 +926,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             from .analysis.diagnostics import strict_failures
 
-            analysis = AnalysisReport(flat)
+            fused, notes = _compiled_flat(flat)
+            analysis = AnalysisReport(fused, notes=notes)
             print(analysis.text())
             if args.strict and strict_failures(analysis.diagnostics()):
                 return 1
@@ -922,7 +939,8 @@ def main(argv=None) -> int:
                 to_sarif,
             )
 
-            diagnostics = collect_diagnostics(flat)
+            fused, notes = _compiled_flat(flat)
+            diagnostics = collect_diagnostics(fused, notes=notes)
             if args.json and args.sarif:
                 raise CliError("--json and --sarif are mutually exclusive")
             if args.json:

@@ -675,14 +675,13 @@ class VectorMonitorBase(PlanMonitorBase):
             ts_slice, cols, masks = self._scatter_columns(
                 np, ts_arr[:split], name_tuple[:split], value_tuple[:split]
             )
-            ts_list = ts_slice.tolist()
             from ..obs.trace import TRACER
 
             if TRACER.enabled:
                 with TRACER.span("run.vector_batch"):
-                    self._vector_exec(ts_list, cols, masks, ts_slice)
+                    self._vector_exec(ts_slice, cols, masks)
             else:
-                self._vector_exec(ts_list, cols, masks, ts_slice)
+                self._vector_exec(ts_slice, cols, masks)
         for _ts, name, value in events[split:]:
             setattr(self, input_attrs[name], value)
         self._pending_ts = tail_ts
@@ -774,8 +773,11 @@ class VectorMonitorBase(PlanMonitorBase):
         every timestamp; streams absent from *columns* have none.
         Timestamps must be strictly increasing.  Caller arrays are
         never mutated; numeric columns are consumed as numpy views
-        without row conversion.  The final timestamp stays pending,
-        exactly as with :meth:`feed_batch`.
+        without row conversion, and the timestamps stay one int64
+        array through to emission, which converts only the rows where
+        an output fires (its cost scales with firings, not with chunk
+        length).  The final timestamp stays pending, exactly as with
+        :meth:`feed_batch`.
         """
         if self._finished:
             return super().feed_columns(timestamps, columns)
@@ -809,12 +811,12 @@ class VectorMonitorBase(PlanMonitorBase):
             # reported even for an empty batch, exactly as the row shim
             # does.
             return 0
-        ts_list = ts_arr.tolist()
-        if ts_list[0] < 0:
-            raise MonitorError(f"negative timestamp {ts_list[0]}")
-        if ts_list[0] <= self._done_ts:
+        first_ts = int(ts_arr[0])
+        if first_ts < 0:
+            raise MonitorError(f"negative timestamp {first_ts}")
+        if first_ts <= self._done_ts:
             raise MonitorError(
-                f"event at t={ts_list[0]} arrived after t={self._done_ts}"
+                f"event at t={first_ts} arrived after t={self._done_ts}"
                 " was calculated"
             )
         if total > 1 and bool((ts_arr[1:] <= ts_arr[:-1]).any()):
@@ -823,14 +825,14 @@ class VectorMonitorBase(PlanMonitorBase):
             )
         pending = self._pending_ts
         if pending is not None:
-            if ts_list[0] <= pending:
+            if first_ts <= pending:
                 # Merge corner (or an out-of-order error the row path
                 # reports with its exact message): row-convert.
                 return super().feed_columns(timestamps, columns)
             self._run_calc(pending)
             self._pending_ts = None
 
-        tail_ts = ts_list[-1]
+        tail_ts = int(ts_arr[-1])
         count = total * len(columns)
         if total == 1:
             self._catch_up(tail_ts)
@@ -859,15 +861,15 @@ class VectorMonitorBase(PlanMonitorBase):
                     if arr.dtype != target:
                         arr = arr.astype(target)
                     cols[vslot] = arr[:sliced]
-        if self._done_ts < 0 and ts_list[0] > 0:
+        if self._done_ts < 0 and first_ts > 0:
             self._run_calc(0)
         from ..obs.trace import TRACER
 
         if TRACER.enabled:
             with TRACER.span("run.vector_batch"):
-                self._vector_exec(ts_list[:sliced], cols, masks)
+                self._vector_exec(ts_arr[:sliced], cols, masks)
         else:
-            self._vector_exec(ts_list[:sliced], cols, masks)
+            self._vector_exec(ts_arr[:sliced], cols, masks)
         self._set_column_tail(columns, total - 1)
         self._pending_ts = tail_ts
         return count
@@ -899,6 +901,7 @@ class VectorMonitorBase(PlanMonitorBase):
             if ts != previous:
                 ts_list.append(ts)
                 previous = ts
+        ts_arr = np.array(ts_list, dtype=np.int64)
         length = len(ts_list)
         n_vslots = prog.n_vslots
         cols: List[Any] = [None] * n_vslots
@@ -922,21 +925,21 @@ class VectorMonitorBase(PlanMonitorBase):
             column = cols[vslot]
             if column is not None:
                 column[position] = value
-        self._vector_exec(ts_list, cols, masks)
+        self._vector_exec(ts_arr, cols, masks)
 
     def _vector_exec(
-        self,
-        ts_list: List[int],
-        cols: List[Any],
-        masks: List[Any],
-        ts_arr: Any = None,
+        self, ts_arr: Any, cols: List[Any], masks: List[Any]
     ) -> None:
+        """Run the columnar steps over one slice of unique timestamps.
+
+        *ts_arr* is a one-dimensional int64 array; it may be a view of a
+        caller's array, so no step writes it (``build_vector_program``
+        protects the ``time()`` columns that alias it).
+        """
         np = self.NP
         prog = self.VPROG
         registry = self.METRICS
-        length = len(ts_list)
-        if ts_arr is None:
-            ts_arr = np.asarray(ts_list, dtype=np.int64)
+        length = int(ts_arr.shape[0])
         arange = np.arange(length)
         if registry is not None:
             registry.inc("vector.batches")
@@ -986,9 +989,9 @@ class VectorMonitorBase(PlanMonitorBase):
                         length, dtype=kernels.resolve_dtype(np, dtype_name)
                     )
                 )
-        self._emit_columns(ts_list, cols, masks)
+        self._emit_columns(ts_arr, cols, masks)
         self._store_last_columns(np, cols, masks)
-        self._done_ts = ts_list[-1]
+        self._done_ts = int(ts_arr[-1])
 
     def _exec_kernel(
         self,
@@ -1134,53 +1137,35 @@ class VectorMonitorBase(PlanMonitorBase):
             stats.copies_performed += int(idx.size)
 
     def _emit_columns(
-        self, ts_list: List[int], cols: List[Any], masks: List[Any]
+        self, ts_arr: Any, cols: List[Any], masks: List[Any]
     ) -> None:
-        # Iterate only the rows where something fires: monitors whose
+        # Convert only the rows where something fires: monitors whose
         # outputs are sparse alerts pay for firings, not batch length.
-        prog = self.VPROG
-        emit = self._on_output
-        np = self.NP
-        sched = prog.out_sched
+        sched = self.VPROG.out_sched
         if not sched:
-            return
-        if len(sched) == 1:
-            name, vslot, is_unit = sched[0]
-            indices = np.flatnonzero(masks[vslot])
-            if not indices.size:
-                return
-            if is_unit:
-                for index in indices.tolist():
-                    emit(name, ts_list[index], UNIT_VALUE)
-            else:
-                values = cols[vslot][indices].tolist()
-                for index, value in zip(indices.tolist(), values):
-                    emit(name, ts_list[index], value)
             return
         any_mask = masks[sched[0][1]]
         for _name, vslot, _is_unit in sched[1:]:
             any_mask = any_mask | masks[vslot]
-        rows = np.flatnonzero(any_mask).tolist()
-        if not rows:
+        rows = self.NP.flatnonzero(any_mask)
+        if not rows.size:
             return
         outputs = [
             (
                 name,
-                masks[vslot].tolist(),
-                None if is_unit else cols[vslot].tolist(),
+                masks[vslot][rows].tolist(),
+                None if is_unit else cols[vslot][rows].tolist(),
             )
             for name, vslot, is_unit in sched
         ]
-        for index in rows:
-            ts = ts_list[index]
-            for name, mask_list, value_list in outputs:
-                if mask_list[index]:
+        emit = self._on_output
+        for position, ts in enumerate(ts_arr[rows].tolist()):
+            for name, fired, values in outputs:
+                if fired[position]:
                     emit(
                         name,
                         ts,
-                        UNIT_VALUE
-                        if value_list is None
-                        else value_list[index],
+                        UNIT_VALUE if values is None else values[position],
                     )
 
     def _store_last_columns(

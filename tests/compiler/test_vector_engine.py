@@ -12,6 +12,7 @@ import pytest
 
 from repro.compiler import build_compiled_spec, kernels
 from repro.compiler.monitor import MonitorError, freeze
+from repro.compiler.vector import VOP_KERNEL
 from repro.frontend import parse_spec
 from repro.lang import check_types, flatten
 
@@ -426,6 +427,66 @@ class TestFeedColumns:
             results[compiled.engine] = str(exc.value)
         assert results["vector"] == results["plan"]
         assert "out-of-order" in results["vector"]
+
+
+    #: ``t`` and ``u`` alias the caller's timestamp array, ``x`` and
+    #: ``y`` its value arrays.  The kernel chain donates its temporaries
+    #: (``a`` into ``b``, ``b`` into ``c``, ``c`` into ``d``); ``u`` is
+    #: read last by ``c`` as its first argument, so only the protection
+    #: of ``time()`` columns keeps ``c`` from writing into the caller's
+    #: timestamps.
+    TIME_CHAIN = """
+in x: Int
+in y: Int
+def t := time(x)
+def u := time(y)
+def a := add(x, y)
+def b := sub(t, a)
+def c := add(u, b)
+def d := add(c, t)
+out t
+out d
+"""
+
+    def test_caller_arrays_never_written(self):
+        np = kernels.numpy_module()
+        flat = flatten(parse_spec(self.TIME_CHAIN))
+        check_types(flat)
+        vec = build_compiled_spec(flat, engine="vector")
+        codegen = build_compiled_spec(flat, engine="codegen")
+        prog = vec.monitor_class.VPROG
+        donated = {
+            step[2][step[5]]
+            for step in prog.steps
+            if step[0] == VOP_KERNEL and step[5] >= 0
+        }
+        assert donated == {prog.vslot_of[name] for name in ("a", "b", "c")}
+
+        ts = np.arange(3, 3 + 3 * 200, 3, dtype=np.int64)
+        cols = {
+            "x": (ts * 7) % 19 - 9,
+            "y": (ts * 5) % 11 - 5,
+        }
+        before = [ts.copy()] + [cols[name].copy() for name in ("x", "y")]
+        out = {}
+        for compiled in (vec, codegen):
+            collected = []
+            m = compiled.new_monitor(
+                lambda n, t, v: collected.append((n, t, v))
+            )
+            for lo in range(0, ts.shape[0], 64):
+                m.feed_columns(
+                    ts[lo:lo + 64],
+                    {name: col[lo:lo + 64] for name, col in cols.items()},
+                )
+            m.finish()
+            out[compiled.engine] = collected
+        after = [ts] + [cols[name] for name in ("x", "y")]
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+        assert out["vector"] == out["codegen"]
+        assert len(out["vector"]) == 2 * ts.shape[0]
+        assert all(type(v) is int for _, _, v in out["vector"])
 
 
 class TestStatefulness:

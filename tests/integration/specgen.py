@@ -276,6 +276,107 @@ def specifications(draw, allow_delays=False):
 
 
 @st.composite
+def vector_specifications(draw):
+    """A wholly vector-eligible Int spec (see ``compiler.vector``).
+
+    Scalar ``last``/``add``/``sub``/``gt``/``filter``/``merge``/
+    ``time``/``at`` chains over one or two Int inputs, optionally a
+    running-sum feedback triple (lowered to a prefix scan), and a
+    unit-typed stream.  Two or three outputs: one or two value streams
+    plus the unit stream.
+    """
+    inputs = {f"x{k}": INT for k in range(draw(st.integers(1, 2)))}
+    ints = list(inputs)
+    values = []
+    definitions = {}
+
+    def add_stream(name, expr, pool):
+        definitions[name] = expr
+        pool.append(name)
+        values.append(name)
+
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(ints))
+        definitions["rh"] = Last(Var("rs"), Var(x))
+        definitions["rk"] = Lift(builtin("add"), (Var("rh"), Var(x)))
+        add_stream("rs", Merge(Var("rk"), Var(x)), ints)
+    for index in range(draw(st.integers(1, 5))):
+        name = f"v{index}"
+        kind = draw(
+            st.sampled_from(
+                ["last", "add", "sub", "gt", "filter", "merge", "time", "at"]
+            )
+        )
+        a, b = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
+        if kind == "last":
+            add_stream(name, Last(Var(a), Var(b)), ints)
+        elif kind in ("add", "sub"):
+            add_stream(name, Lift(builtin(kind), (Var(a), Var(b))), ints)
+        elif kind == "gt":
+            add_stream(name, Lift(builtin("gt"), (Var(a), Var(b))), [])
+        elif kind == "filter":
+            c = draw(st.sampled_from(ints))
+            definitions[f"{name}_c"] = Lift(builtin("gt"), (Var(b), Var(c)))
+            add_stream(
+                name,
+                Lift(builtin("filter"), (Var(a), Var(f"{name}_c"))),
+                ints,
+            )
+        elif kind == "merge":
+            add_stream(name, Merge(Var(a), Var(b)), ints)
+        elif kind == "time":
+            add_stream(name, TimeExpr(Var(a)), ints)
+        else:
+            add_stream(name, Lift(builtin("at"), (Var(a), Var(b))), ints)
+
+    # Unit: fires at t=0, then on every event of a trigger after it.
+    definitions["u0"] = UnitExpr()
+    definitions["u1"] = Last(Var("u0"), Var(draw(st.sampled_from(ints))))
+    unit_out = draw(st.sampled_from(["u0", "u1", "u2"]))
+    if unit_out == "u2":
+        other = draw(st.sampled_from(ints))
+        definitions["u2"] = draw(
+            st.sampled_from(
+                [
+                    Lift(builtin("at"), (Var("u1"), Var(other))),
+                    Merge(Var("u1"), Var("u0")),
+                ]
+            )
+        )
+    outputs = draw(
+        st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)
+    )
+    return Specification(inputs, definitions, outputs + [unit_out])
+
+
+@st.composite
+def dense_columns(draw, input_names, max_rows=150):
+    """Dense columnar input cut into chunks, for ``feed_columns``.
+
+    Returns ``(timestamps, values, chunks)``: strictly increasing
+    timestamps (possibly starting at 0), one value list per input, and
+    ``(lo, hi, names)`` chunks covering the rows in order, where each
+    chunk carries the columns of a random subset of the inputs.
+    """
+    rows = draw(st.integers(1, max_rows))
+    ts = [draw(st.integers(0, 2))]
+    gaps = st.lists(st.integers(1, 3), min_size=rows - 1, max_size=rows - 1)
+    for gap in draw(gaps):
+        ts.append(ts[-1] + gap)
+    column = st.lists(st.integers(-6, 6), min_size=rows, max_size=rows)
+    values = {name: draw(column) for name in input_names}
+    cut = st.integers(1, rows)
+    cuts = sorted(set(draw(st.lists(cut, max_size=6))) - {rows})
+    chunks = []
+    for lo, hi in zip([0] + cuts, cuts + [rows]):
+        names = draw(
+            st.lists(st.sampled_from(list(input_names)), unique=True)
+        )
+        chunks.append((lo, hi, tuple(sorted(names))))
+    return ts, values, chunks
+
+
+@st.composite
 def traces(draw, input_names, max_events=25, max_time=40, max_value=8):
     """Random input traces: strictly increasing timestamps per stream.
 

@@ -213,6 +213,57 @@ class TestStrictFlag:
         assert main(["lint", str(spec)]) == 0
 
 
+#: perfbench's ``uncertified`` spec: Fig. 4 (lower) with only the fork's
+#: size emitted, so the default compile fuses ``n`` with the write ``s``.
+FUSED_SPEC = PERSISTENT_SPEC.replace("out s", "def n  := set_size(s)\nout n")
+
+
+class TestReportsTheCompiledSpec:
+    """``analyze`` and ``lint`` report the spec ``run`` compiles: after
+    write-then-read fusion (OPT008), with the fusion as a note."""
+
+    def test_analyze_shows_fused_family_mutable(self, tmp_path, capsys):
+        spec = tmp_path / "u.tessla"
+        spec.write_text(FUSED_SPEC)
+        assert main(["analyze", str(spec), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "mutable    (5): _s0, m, y, yl, yp" in out
+        assert "persistent (0): ∅" in out
+        assert "[OPT008:write-read-fusion] note n:" in out
+        assert "MUT001" not in out
+
+    def test_lint_notes_the_fusion_only(self, tmp_path, capsys):
+        import json
+
+        spec = tmp_path / "u.tessla"
+        spec.write_text(FUSED_SPEC)
+        assert main(["lint", str(spec), "--json"]) == 0
+        [record] = json.loads(capsys.readouterr().out)
+        assert record["code"] == "OPT008"
+        assert record["severity"] == "note"
+        assert record["witness"]["detail"] == {
+            "write": "s",
+            "read": "n",
+            "fused": "set_size_after_add",
+        }
+
+    def test_fig4_lower_keeps_its_witnesses(self, tmp_path, capsys):
+        from repro.frontend import unparse
+        from repro.speclib import fig4_lower_spec
+
+        spec = tmp_path / "f.tessla"
+        spec.write_text(unparse(fig4_lower_spec()))
+        assert main(["analyze", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "mutable    (0): ∅" in out
+        assert "[MUT001:no-double-write]" in out
+        assert "OPT008" not in out
+        assert main(["lint", str(spec)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        assert all("[MUT001:no-double-write]" in line for line in lines)
+
+
 DIV_SPEC = """
 in a: Int
 in b: Int

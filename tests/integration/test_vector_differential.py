@@ -12,10 +12,13 @@ and must still match byte-for-byte.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.bench.table1 import scenarios
 from repro.compiler import freeze, kernels
+from repro.compiler.monitor import UNIT_VALUE
 from repro.speclib import (
     DENORMALIZED,
     fig1_spec,
@@ -26,6 +29,8 @@ from repro.speclib import (
     seen_set,
 )
 from repro.testing import reference_outputs
+
+from .specgen import dense_columns, vector_specifications
 
 pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy not installed"
@@ -210,3 +215,77 @@ class TestFallbackIdentity:
         assert "VEC001" in codes
         got = vector_outputs(seen_set(), inputs, batch_size=16)
         assert got == reference
+
+
+def _plain(value):
+    """A plain Python scalar or the unit value, never a numpy scalar."""
+    return type(value) in (int, float, bool) or (
+        type(value) is tuple and value == UNIT_VALUE
+    )
+
+
+class TestRandomVectorSpecs:
+    """Random wholly eligible specs: ``auto`` picks the vector engine,
+    and its columnar and batched paths equal the reference interpreter
+    with plain Python values."""
+
+    @staticmethod
+    def collect(monitor, feed):
+        collected = {name: [] for name in monitor.outputs}
+        instance = monitor.new_instance(
+            lambda n, t, v: collected[n].append((t, v))
+        )
+        feed(instance)
+        instance.finish()
+        for trace in collected.values():
+            assert all(_plain(value) for _, value in trace), trace
+        return {
+            name: [(t, freeze(v)) for t, v in trace]
+            for name, trace in collected.items()
+        }
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data(), spec=vector_specifications())
+    def test_columns_and_batches_match_reference(self, data, spec):
+        np = kernels.numpy_module()
+        monitor = api.compile(spec)
+        assert monitor.engine_resolved == "vector"
+        ts, values, chunks = data.draw(dense_columns(sorted(spec.inputs)))
+        inputs = {name: [] for name in spec.inputs}
+        for lo, hi, names in chunks:
+            for name in names:
+                inputs[name].extend(
+                    zip(ts[lo:hi], values[name][lo:hi])
+                )
+        reference = reference_outputs(spec, inputs)
+        ts_arr = np.asarray(ts, dtype=np.int64)
+        as_lists = data.draw(st.booleans())
+
+        def feed_columns(instance):
+            for lo, hi, names in chunks:
+                if as_lists:
+                    columns = {n: values[n][lo:hi] for n in names}
+                    instance.feed_columns(ts[lo:hi], columns)
+                else:
+                    columns = {
+                        n: np.asarray(values[n][lo:hi], dtype=np.int64)
+                        for n in names
+                    }
+                    instance.feed_columns(ts_arr[lo:hi], columns)
+
+        assert self.collect(monitor, feed_columns) == reference
+
+        events = as_events(inputs)
+        cuts = sorted(
+            set(data.draw(st.lists(st.integers(0, len(events)), max_size=4)))
+        )
+
+        def feed_batch(instance):
+            for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+                instance.feed_batch(events[lo:hi])
+
+        assert self.collect(monitor, feed_batch) == reference
