@@ -1,27 +1,26 @@
-"""Bench-vector: columnar engine throughput vs the plan engine.
+"""Bench-vector: columnar engine throughput vs the codegen engine.
 
 Measures run-only events/sec (compile excluded, monitors built once
-outside the timed region) for the plan engine's batch path against the
-vector engine's two ingestion paths — row batches (``feed_batch``) and
-columnar handoff (``feed_columns``) — on the paper's Fig. 9 synthetic
-trace and the Fig. 10 trace-length scaling sweep.
+outside the timed region) for the codegen engine's batch path against
+the vector engine's two ingestion paths — row batches (``feed_batch``)
+and columnar handoff (``feed_columns``) — on the paper's Fig. 9
+synthetic trace and the Fig. 10 trace-length scaling sweep.  Codegen is
+the baseline because it is what ``engine="auto"`` resolves a spec to
+when the vector engine cannot run it.
 
 Honesty note, recorded in the JSON as well: the paper's Fig. 9/10
 *monitor* is the Seen Set, whose set-typed streams are vector-ineligible
 by design — under ``engine="vector"`` it compiles with the codegen
 engine, like ``engine="auto"`` (measured here as
-``seen_set_fallback``).  The columnar speedup is therefore measured on
-a vector-eligible scalar alert chain driven by the *same* Fig. 9/10
+``seen_set_fallback``; its ratio is ~1.0x because both requests run
+the same codegen monitor).  The columnar speedup is therefore measured
+on a vector-eligible scalar alert chain driven by the *same* Fig. 9/10
 synthetic traces, which is the workload shape the vector engine exists
-for.  The ≥10x gate applies to the columnar-ingestion headline and is
-enforced only when numpy is importable (``threshold_enforced``).
-
-The gate's baseline is the plan engine, but ``engine="auto"`` resolves
-scalar specs to ``codegen``, not ``plan``.  So the Fig. 9 section and
-``seen_set_fallback`` also report ``codegen_feed_batch`` rates and the
-``vector ÷ codegen`` ratios, ungated: they show what the vector engine
-gains over the engine ``auto`` would otherwise pick.  On the Seen Set
-both requests run the same codegen monitor, so its ratio is ~1.0x.
+for.  The ≥1.5x gate applies to the columnar-ingestion headline
+(``vector ÷ codegen``, Fig. 9) and is enforced only when numpy is
+importable (``threshold_enforced``).  A columnar path that fell back to
+the engine's per-timestamp scalar half would run at about 0.1x codegen
+and fail it.
 
 Usage::
 
@@ -59,7 +58,7 @@ FIG9_EVENTS = 50_000
 FIG10_LENGTHS = (5_000, 20_000, 50_000)
 BATCH_SIZE = 4_096
 REPEATS = 5
-THRESHOLD = 10.0
+THRESHOLD = 1.5
 
 
 def _trace(length):
@@ -70,64 +69,55 @@ def _trace(length):
     return rows, ts_column, value_column
 
 
-def _best(fn, repeats=REPEATS):
-    best = float("inf")
+def _best_interleaved(fns, repeats=REPEATS):
+    """Best-of-*repeats* seconds per labelled callable, taking one run
+    of each in turn, so a slow spell on a shared host hits every
+    contender of a ratio alike."""
+    best = {label: float("inf") for label in fns}
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for label, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            best[label] = min(best[label], time.perf_counter() - start)
     return best
 
 
-def measure_pair(spec_text, length, with_codegen=False):
-    """plan feed_batch vs vector feed_batch / feed_columns, run-only;
-    *with_codegen* adds the ungated codegen feed_batch comparison."""
+def measure_pair(spec_text, length):
+    """codegen feed_batch vs vector feed_batch / feed_columns, run-only."""
     rows, ts_column, value_column = _trace(length)
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
-    plan = api.compile(spec_text, api.CompileOptions(engine="plan"))
+    codegen = api.compile(spec_text, api.CompileOptions(engine="codegen"))
     vector = api.compile(spec_text, api.CompileOptions(engine="vector"))
     assert vector.engine_resolved == "vector"
 
     columns = {"i": value_column}
-    if with_codegen:
-        codegen = api.compile(spec_text, api.CompileOptions(engine="codegen"))
-    timings = {
-        "plan_feed_batch": _best(
-            lambda: api.run(plan, rows, run_opts, on_output=sink)
-        ),
-        "vector_feed_batch": _best(
-            lambda: api.run(vector, rows, run_opts, on_output=sink)
-        ),
-        "vector_feed_columns": _best(
-            lambda: vector.feed_columns(ts_column, columns, on_output=sink)
-        ),
-    }
-    if with_codegen:
-        timings["codegen_feed_batch"] = _best(
-            lambda: api.run(codegen, rows, run_opts, on_output=sink)
-        )
-    result = {
+    timings = _best_interleaved(
+        {
+            "codegen_feed_batch": lambda: api.run(
+                codegen, rows, run_opts, on_output=sink
+            ),
+            "vector_feed_batch": lambda: api.run(
+                vector, rows, run_opts, on_output=sink
+            ),
+            "vector_feed_columns": lambda: vector.feed_columns(
+                ts_column, columns, on_output=sink
+            ),
+        }
+    )
+    return {
         "events": length,
         "events_per_sec": {
             label: round(length / seconds)
             for label, seconds in timings.items()
         },
-        "speedup_feed_batch": round(
-            timings["plan_feed_batch"] / timings["vector_feed_batch"], 2
+        "vector_over_codegen_feed_batch": round(
+            timings["codegen_feed_batch"] / timings["vector_feed_batch"], 2
         ),
-        "speedup_feed_columns": round(
-            timings["plan_feed_batch"] / timings["vector_feed_columns"], 2
+        "vector_over_codegen_feed_columns": round(
+            timings["codegen_feed_batch"] / timings["vector_feed_columns"], 2
         ),
     }
-    if with_codegen:
-        result["vector_over_codegen_feed_batch"] = round(
-            timings["codegen_feed_batch"] / timings["vector_feed_batch"], 2
-        )
-        result["vector_over_codegen_feed_columns"] = round(
-            timings["codegen_feed_batch"] / timings["vector_feed_columns"], 2
-        )
-    return result
 
 
 def measure_seen_set_fallback(length=10_000):
@@ -143,20 +133,24 @@ def measure_seen_set_fallback(length=10_000):
     )
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
-    plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
     vector = api.compile(seen_set(), api.CompileOptions(engine="vector"))
     codegen = api.compile(seen_set(), api.CompileOptions(engine="codegen"))
     fallback = [d.code for d in vector.diagnostics()]
-    plan_s = _best(lambda: api.run(plan, rows, run_opts, on_output=sink), 3)
-    vec_s = _best(lambda: api.run(vector, rows, run_opts, on_output=sink), 3)
-    gen_s = _best(lambda: api.run(codegen, rows, run_opts, on_output=sink), 3)
+    best = _best_interleaved(
+        {
+            "vector": lambda: api.run(vector, rows, run_opts, on_output=sink),
+            "codegen": lambda: api.run(
+                codegen, rows, run_opts, on_output=sink
+            ),
+        },
+        repeats=3,
+    )
+    vec_s, gen_s = best["vector"], best["codegen"]
     return {
         "events": length,
         "diagnostics": fallback,
-        "plan_events_per_sec": round(length / plan_s),
         "vector_events_per_sec": round(length / vec_s),
         "codegen_events_per_sec": round(length / gen_s),
-        "speedup": round(plan_s / vec_s, 2),
         "vector_over_codegen": round(gen_s / vec_s, 2),
         "note": "set-typed streams are vector-ineligible;"
         " engine='vector' compiles the spec with codegen, so"
@@ -174,7 +168,7 @@ def main(argv=None):
         "--threshold",
         type=float,
         default=THRESHOLD,
-        help="minimum columnar-ingestion speedup vs the plan engine",
+        help="minimum columnar-ingestion speedup vs the codegen engine",
     )
     args = parser.parse_args(argv)
 
@@ -192,7 +186,8 @@ def main(argv=None):
         " vector-eligible scalar chain on the same traces",
         "batch_size": BATCH_SIZE,
         "repeats": REPEATS,
-        "timing": "run-only, best of N (compile excluded; monitors"
+        "timing": "run-only, best of N with the engines interleaved"
+        " (compile excluded; monitors"
         " built once outside the timed region)",
         "threshold": args.threshold,
         "threshold_enforced": enforced,
@@ -209,7 +204,7 @@ def main(argv=None):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        fig9 = measure_pair(SCALAR_ALERT_TEXT, FIG9_EVENTS, with_codegen=True)
+        fig9 = measure_pair(SCALAR_ALERT_TEXT, FIG9_EVENTS)
         fig10 = {
             str(length): measure_pair(SCALAR_ALERT_TEXT, length)
             for length in FIG10_LENGTHS
@@ -219,7 +214,7 @@ def main(argv=None):
         if gc_was_enabled:
             gc.enable()
 
-    headline = fig9["speedup_feed_columns"]
+    headline = fig9["vector_over_codegen_feed_columns"]
     result.update(
         {
             "fig9": fig9,
@@ -235,12 +230,12 @@ def main(argv=None):
 
     if headline < args.threshold:
         print(
-            f"FAIL: columnar ingestion is {headline:.2f}x the plan"
+            f"FAIL: columnar ingestion is {headline:.2f}x the codegen"
             f" engine, below the {args.threshold:.1f}x threshold",
             file=sys.stderr,
         )
         return 1
-    print(f"ok: columnar ingestion is {headline:.2f}x the plan engine")
+    print(f"ok: columnar ingestion is {headline:.2f}x the codegen engine")
     return 0
 
 

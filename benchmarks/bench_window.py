@@ -17,7 +17,7 @@ cheap and the ratio approaches 1x.
 
 A secondary section measures the vector engine's prefix-scan lowering
 of ``running_aggregate`` (seeded ``np.add.accumulate``) against the
-scalar plan loop; it is reported but not gated, and skipped without
+codegen engine; it is reported but not gated, and skipped without
 numpy.
 
 Usage::
@@ -100,22 +100,22 @@ def measure_window_pair(period, length=EVENTS):
 
 
 def measure_scan(length=SCAN_EVENTS):
-    """Vector prefix scan vs the scalar plan loop (reported, ungated)."""
+    """Vector prefix scan vs the codegen engine (reported, ungated)."""
     rows = [(t, "x", (t * 13) % 1000 - 500) for t in range(1, length + 1)]
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
     spec = running_aggregate("sum")
-    plan = api.compile(spec, api.CompileOptions(engine="plan"))
+    codegen = api.compile(spec, api.CompileOptions(engine="codegen"))
     vector = api.compile(spec, api.CompileOptions(engine="vector"))
     assert vector.engine_resolved == "vector"
-    plan_s = _best(lambda: api.run(plan, rows, run_opts, on_output=sink))
+    codegen_s = _best(lambda: api.run(codegen, rows, run_opts, on_output=sink))
     vec_s = _best(lambda: api.run(vector, rows, run_opts, on_output=sink))
     return {
         "events": length,
         "batch_size": BATCH_SIZE,
-        "plan_events_per_sec": round(length / plan_s),
+        "codegen_events_per_sec": round(length / codegen_s),
         "vector_scan_events_per_sec": round(length / vec_s),
-        "speedup": round(plan_s / vec_s, 2),
+        "speedup": round(codegen_s / vec_s, 2),
         "note": "running_aggregate('sum') recognized as a prefix-scan"
         " triple and executed as one seeded np.add.accumulate per batch",
     }

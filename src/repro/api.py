@@ -55,7 +55,7 @@ __all__ = [
     "run_many",
 ]
 
-_ENGINES = ("auto", "codegen", "plan", "vector")
+_ENGINES = ("auto", "codegen", "vector")
 _POOL_TRANSPORTS = ("auto", "shm", "pipe")
 
 
@@ -84,7 +84,7 @@ class CompileOptions:
     #: the columnar :mod:`vector <repro.compiler.vector>` engine when
     #: every stream is vector-eligible, numpy is importable and no
     #: error policy is set, else ``"codegen"``), or one of the explicit
-    #: engines ``"codegen"``, ``"plan"`` (no ``exec``), ``"vector"``.
+    #: engines ``"codegen"``, ``"vector"``.
     #: ``"vector"`` resolves like ``"auto"`` but raises without numpy.
     #: The resolved engine is observable as
     #: :attr:`Monitor.engine_resolved`; each ineligible stream surfaces

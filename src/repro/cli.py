@@ -53,8 +53,8 @@ reproducing the uninterrupted run's output file exactly,
 ``--engine`` selects the execution engine (``auto`` — the default,
 resolving to the columnar ``vector`` engine when the whole spec is
 vector-eligible and numpy is present, else ``codegen`` — or explicitly
-``codegen``, ``plan``, ``vector``, which resolves like ``auto`` but is
-an error without numpy; ``emit`` defaults to ``codegen``
+``codegen`` or ``vector``, which resolves like ``auto`` but is an
+error without numpy; ``emit`` defaults to ``codegen``
 since it prints generated source, and the engine-independent commands
 reject it), ``--batch-size`` drives the monitor's batch hot path in
 chunks, and ``--plan-cache DIR`` persists the analysis outputs on disk
@@ -170,7 +170,8 @@ _ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "emit-scala", "optimize")
 
 def _compiled_flat(flat) -> Tuple[Any, List[Any]]:
     """The flat spec the default optimizing compile runs, and its
-    ``OPT008`` fusion notes: what ``analyze`` and ``lint`` report."""
+    ``OPT008`` fusion notes: what ``analyze``, ``lint`` and ``dot``
+    report."""
     from .compiler.pipeline import _flat_passes
     from .opt.engine import record_diagnostics
 
@@ -765,12 +766,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "codegen", "plan", "vector"],
+        choices=["auto", "codegen", "vector"],
         default=None,
         help="execution engine: auto (the default — columnar numpy"
         " kernels when every stream is vector-eligible, else generated"
-        " source), generated source, the flat dispatch plan (no exec),"
-        " or vector (like auto, but an error without numpy); 'emit'"
+        " source), codegen (generated source), or vector (like auto,"
+        " but an error without numpy); 'emit'"
         " defaults to codegen (it prints generated source)",
     )
     parser.add_argument(
@@ -967,7 +968,8 @@ def main(argv=None) -> int:
             if args.strict and strict_failures(diagnostics):
                 return 1
         elif args.command == "dot":
-            print(AnalysisReport(flat).dot())
+            fused, _notes = _compiled_flat(flat)
+            print(AnalysisReport(fused).dot())
         elif args.command == "emit":
             print(api.compile(flat, _compile_options(args)).source)
         elif args.command == "emit-scala":

@@ -22,7 +22,6 @@ from .pipeline import (
     build_compiled_spec,
     build_compiled_spec_from_text,
 )
-from .plan import ExecutionPlan, build_plan, make_plan_class
 from .plancache import PlanCache, flat_fingerprint, plan_fingerprint
 from .runtime import (
     MonitorRunner,
@@ -36,7 +35,6 @@ __all__ = [
     "CodeGenerator",
     "CodegenError",
     "CompiledSpec",
-    "ExecutionPlan",
     "MonitorBase",
     "MonitorError",
     "MonitorRunner",
@@ -45,7 +43,6 @@ __all__ = [
     "UNIT_VALUE",
     "build_compiled_spec",
     "build_compiled_spec_from_text",
-    "build_plan",
     "collecting_callback",
     "counting_callback",
     "flat_fingerprint",
@@ -53,7 +50,6 @@ __all__ = [
     "generate_monitor_class",
     "generate_scala_source",
     "latest_checkpoint",
-    "make_plan_class",
     "plan_fingerprint",
     "read_checkpoint",
     "validate_value",

@@ -236,10 +236,10 @@ class CodegenMonitorBase(MonitorBase):
         """Group a batch into rows and run them through one
         ``_calc_rows`` call.
 
-        Same protocol checks and messages as :meth:`MonitorBase.feed_batch`.
-        On a protocol error, the rows completed before the offending
-        event are still calculated (the partial progress a ``push`` loop
-        makes).  An exception raised *by the calculation* (a lift
+        Same protocol checks and messages as :meth:`MonitorBase.push`;
+        events of the last timestamp stay pending.  On a protocol error,
+        the rows completed before the offending event are still
+        calculated (the partial progress a ``push`` loop makes).  An exception raised *by the calculation* (a lift
         without an error policy, the output callback) stops the monitor
         instead: the batch's events are consumed by then, so no state
         would match a ``push`` loop's; every later call raises

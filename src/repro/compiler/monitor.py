@@ -3,8 +3,8 @@
 Monitor classes derive from :class:`MonitorBase`, which owns the
 event-driven outer loop: input events arrive in chronological order
 via :meth:`push`; whenever the timestamp advances, the pending
-*calculation section* (``_run_calc`` → the engine's ``_calc``; the
-codegen engine runs its generated ``_calc_rows``) runs, and any ``delay``
+*calculation section* (the engine's ``_run_calc``: codegen runs its
+generated ``_calc_rows``, vector its scalar half) runs, and any ``delay``
 timestamps falling strictly before the new input timestamp are processed
 in between — exactly the paper's triggering loop.  :meth:`finish`
 corresponds to "when receiving the end of the input t is set to ∞".
@@ -158,7 +158,8 @@ class MonitorBase:
     def _init_state(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _calc(self, ts: int) -> None:  # pragma: no cover - overridden
+    def _run_calc(self, ts: int) -> None:  # pragma: no cover - overridden
+        """The calculation section at *ts* over the pending inputs."""
         raise NotImplementedError
 
     def _next_delay(self) -> Optional[int]:
@@ -166,11 +167,6 @@ class MonitorBase:
         return None
 
     # -- internal loop -------------------------------------------------------
-
-    def _run_calc(self, ts: int) -> None:
-        assert ts > self._done_ts
-        self._calc(ts)
-        self._done_ts = ts
 
     def _catch_up(self, ts: Optional[int]) -> None:
         """Process internally-generated timestamps strictly before *ts*
@@ -221,71 +217,6 @@ class MonitorBase:
                 f"out-of-order event: t={ts} after t={self._pending_ts}"
             )
         setattr(self, attr, value)
-
-    def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
-        """Feed a timestamp-sorted batch of ``(ts, name, value)`` events.
-
-        The batch hot path: semantically identical to calling
-        :meth:`push` per event, but the protocol checks, the pending
-        bookkeeping and the triggering loop are amortized over the
-        whole batch in one stack frame.  Events for the last timestamp
-        stay pending (exactly as after :meth:`push`), so batches of any
-        size — including batches splitting one timestamp — compose
-        with further ``push``/``feed_batch``/``advance``/``finish``
-        calls.  Returns the number of events consumed.
-
-        On error the offending event is reported and not consumed, but
-        earlier timestamps of the batch may already be calculated —
-        the same partial progress a ``push`` loop would have made.
-        """
-        if self._finished:
-            raise self._closed("feed_batch")
-        input_attrs = type(self).INPUT_ATTRS
-        run_calc = self._run_calc
-        next_delay = self._next_delay
-        has_delays = self.HAS_DELAYS
-        pending = self._pending_ts
-        count = 0
-        try:
-            for ts, name, value in events:
-                attr = input_attrs.get(name)
-                if attr is None:
-                    raise MonitorError(f"unknown input stream {name!r}")
-                if value is None:
-                    raise MonitorError(
-                        "None is the no-event value; not a valid payload"
-                    )
-                if ts != pending:
-                    if pending is not None:
-                        if ts < pending:
-                            raise MonitorError(
-                                f"out-of-order event: t={ts} after"
-                                f" t={pending}"
-                            )
-                        run_calc(pending)
-                        pending = None
-                    if ts < 0:
-                        raise MonitorError(f"negative timestamp {ts}")
-                    done = self._done_ts
-                    if ts <= done:
-                        raise MonitorError(
-                            f"event at t={ts} arrived after t={done} was"
-                            " calculated"
-                        )
-                    if done < 0 and ts > 0:
-                        run_calc(0)
-                    if has_delays:
-                        while True:
-                            upcoming = next_delay()
-                            if upcoming is None or upcoming >= ts:
-                                break
-                            run_calc(upcoming)
-                    pending = ts
-                setattr(self, attr, value)
-                count += 1
-        finally:
-            self._pending_ts = pending
-        return count
 
     def feed_columns(
         self,

@@ -20,8 +20,7 @@ Three compilation modes:
 * ``backend_override`` — force one backend everywhere (e.g.
   ``Backend.COPYING`` for the naive-copy ablation baseline).
 
-Execution engines: ``"codegen"`` (generated Python source), ``"plan"``
-(flat dispatch plan, no ``exec``, see :mod:`repro.compiler.plan`) and
+Execution engines: ``"codegen"`` (generated Python source) and
 ``"vector"`` (columnar numpy kernels, see :mod:`repro.compiler.vector`);
 :func:`monitor_class_factory` is the one place an engine name becomes a
 monitor-class builder.
@@ -208,10 +207,6 @@ def monitor_class_factory(
     """
     if engine == "codegen":
         return generate_monitor_class
-    if engine == "plan":
-        from .plan import make_plan_class
-
-        return make_plan_class
     if engine == "vector":
         from .vector import make_vector_class
 
@@ -241,8 +236,8 @@ def build_compiled_spec(
     and recorded as ``OPT00x`` provenance on :meth:`CompiledSpec.diagnostics`.
 
     ``engine`` selects the execution strategy: ``"codegen"`` (generated
-    Python source, the default), ``"plan"`` (flat dispatch plan, no
-    ``exec``), ``"vector"`` (columnar numpy kernels) or ``"auto"``.
+    Python source, the default), ``"vector"`` (columnar numpy kernels)
+    or ``"auto"``.
     ``"auto"`` and ``"vector"`` both resolve to vector when every stream
     is vector-eligible and no error policy is set, else to codegen;
     only ``"vector"`` raises when numpy is missing.

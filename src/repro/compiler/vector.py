@@ -14,7 +14,7 @@ eligible lowers its translation order to whole-column numpy kernels:
   full columns (every lane has an event) or to a compressed gather of
   the event lanes, so value lanes without events are never read;
 * ``last`` as a shifted-column read (``maximum.accumulate`` over event
-  indices) seeded from the plan engine's cross-batch carry cells;
+  indices) seeded from the monitor's cross-batch carry cells;
 * in-place column writes only where a batch-local last-use liveness
   pass certifies the argument buffer dead — the column analogue of the
   paper's in-place update rule (the spec-level mutability analysis
@@ -27,9 +27,12 @@ those — sends the whole spec to the codegen engine, under
 ``engine="vector"`` as under ``engine="auto"`` (see
 :attr:`VectorClassification.auto_engine`).  So does an error policy.
 
-:class:`VectorMonitorBase` subclasses the plan engine's monitor, so the
-per-event ``push`` path, snapshot/restore and checkpointing reuse the
-plan state (slot values, last cells) unchanged.
+:class:`VectorMonitorBase` also carries a small scalar half, a flat op
+list over a slot array (:class:`ScalarProgram`), for what is not a
+column: per-event ``push``, timestamp 0 and the pending timestamp each
+batch leaves behind.  Both halves share one cross-batch state: the
+``last`` cells (numbered once, by :func:`last_cells`) and the pending
+``_in_<name>`` input attributes.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from ..lang.builtins import REGISTRY, EventPattern
 from ..lang.spec import FlatSpec
 from ..structures import Backend
 from . import kernels
-from .monitor import UNIT_VALUE, MonitorError
-from .plan import PlanMonitorBase, build_plan
+from .codegen import CodegenError
+from .monitor import UNIT_VALUE, MonitorBase, MonitorError
 
 __all__ = [
     "VectorClassification",
@@ -320,6 +323,109 @@ def classify_vector(
 
 
 # ---------------------------------------------------------------------------
+# Shared state layout
+
+
+def last_cells(flat: FlatSpec) -> Dict[str, int]:
+    """``last`` source stream → index into the monitor's ``_last_cells``.
+
+    The one numbering both halves use: the columnar pass seeds from and
+    stores back to these cells, the scalar half reads and writes them.
+    """
+    cells: Dict[str, int] = {}
+    for expr in flat.definitions.values():
+        if isinstance(expr, Last):
+            cells.setdefault(expr.value.name, len(cells))
+    return cells
+
+
+# ---------------------------------------------------------------------------
+# Scalar half
+
+#: Scalar opcodes.  NIL streams compile to no op (their slot stays
+#: ``None``); ``delay`` never reaches here (it is not vector-eligible).
+OP_UNIT = 0
+OP_TIME = 1
+OP_LAST = 2
+OP_MERGE = 3
+OP_LIFT_ALL = 4
+OP_LIFT_ANY = 5
+
+
+@dataclass(frozen=True)
+class ScalarProgram:
+    """One timestamp of a vector-eligible spec as a flat op list.
+
+    ``ops`` rows are ``(opcode, dst_slot, args, callable)``: ``args``
+    are argument slots, except for ``OP_LAST`` — ``(cell,
+    trigger_slot)``.
+    """
+
+    n_slots: int
+    #: ``(slot, "_in_<name>")`` per input stream.
+    input_loads: Tuple[Tuple[int, str], ...]
+    ops: Tuple[Tuple[int, int, Tuple[int, ...], Optional[Any]], ...]
+    #: ``(name, slot)`` per output stream, in declaration order.
+    outputs: Tuple[Tuple[str, int], ...]
+    #: ``(src_slot, cell)``: store surviving ``last`` values.
+    last_stores: Tuple[Tuple[int, int], ...]
+
+
+def build_scalar_program(
+    flat: FlatSpec,
+    order: Sequence[str],
+    backends: Mapping[str, Backend],
+    default_backend: Backend = Backend.PERSISTENT,
+) -> ScalarProgram:
+    """Lower *flat* along *order* into the vector engine's scalar half.
+
+    Metrics need no wrapping here: vector-eligible lifts are scalar
+    builtins, which write no aggregate.
+    """
+    if sorted(order) != sorted(flat.streams):
+        raise CodegenError("order must enumerate exactly the spec's streams")
+    slot_of = {name: index for index, name in enumerate(flat.streams)}
+    cells = last_cells(flat)
+    ops: List[Tuple[int, int, Tuple[int, ...], Optional[Any]]] = []
+    for name in order:
+        expr = flat.definitions.get(name)
+        if expr is None or isinstance(expr, Nil):
+            continue  # inputs are loaded; a nil slot stays None
+        dst = slot_of[name]
+        if isinstance(expr, UnitExpr):
+            ops.append((OP_UNIT, dst, (), None))
+        elif isinstance(expr, TimeExpr):
+            ops.append((OP_TIME, dst, (slot_of[expr.operand.name],), None))
+        elif isinstance(expr, Last):
+            trigger = slot_of[expr.trigger.name]
+            ops.append((OP_LAST, dst, (cells[expr.value.name], trigger), None))
+        else:
+            assert isinstance(expr, Lift)
+            args = tuple(slot_of[arg.name] for arg in expr.args)
+            if expr.func.name == "merge":
+                ops.append((OP_MERGE, dst, args, None))
+                continue
+            impl = expr.func.bind(backends.get(name, default_backend))
+            opcode = (
+                OP_LIFT_ALL
+                if expr.func.pattern is EventPattern.ALL
+                else OP_LIFT_ANY
+            )
+            ops.append((opcode, dst, args, impl))
+    return ScalarProgram(
+        n_slots=len(slot_of),
+        input_loads=tuple(
+            (slot_of[name], "_in_" + name) for name in flat.inputs
+        ),
+        ops=tuple(ops),
+        outputs=tuple((name, slot_of[name]) for name in flat.outputs),
+        last_stores=tuple(
+            (slot_of[name], cell) for name, cell in cells.items()
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Vector program lowering
 
 VOP_UNIT = 0
@@ -391,11 +497,7 @@ def build_vector_program(
     for name, vslot in vslot_of.items():
         vslot_dtype[vslot] = kernels.dtype_name_for(flat.types[name])
 
-    # Replicate build_plan's last-cell numbering (keyed by source stream).
-    last_index: Dict[str, int] = {}
-    for expr in flat.definitions.values():
-        if isinstance(expr, Last):
-            last_index.setdefault(expr.value.name, len(last_index))
+    last_index = last_cells(flat)
 
     protected: Set[int] = {vslot for _, vslot, _ in col_inputs}
     # Scan triples lower to one VOP_SCAN at the ``h`` member computing
@@ -531,24 +633,77 @@ def build_vector_program(
 # Runtime
 
 
-class VectorMonitorBase(PlanMonitorBase):
-    """Columnar monitor over the plan engine's state.
+class VectorMonitorBase(MonitorBase):
+    """Columnar monitor with a scalar half.
 
     ``feed_batch``/``feed_columns`` run every stream as whole columns
-    over the batch's timestamp slice.  Per-event ``push`` and
-    ``snapshot``/``restore`` are inherited unchanged — the only
-    cross-batch state is the plan state (last cells, pending input
-    attributes).
+    over the batch's timestamp slice; ``_run_calc`` runs one timestamp
+    through the :class:`ScalarProgram` (``push``, timestamp 0, the
+    pending timestamp).  The only cross-batch state is the ``last``
+    cells and the pending input attributes.
     """
 
     VPROG: VectorProgram = None  # type: ignore[assignment]
+    SCALAR: ScalarProgram = None  # type: ignore[assignment]
     NP: Any = None
     METRICS: Any = None
     SOURCE = "<vector engine — columnar numpy kernels, no generated source>"
 
+    def _init_state(self) -> None:
+        self._last_cells: List[Any] = [None] * len(self.SCALAR.last_stores)
+        for attr in self.INPUT_ATTRS.values():
+            setattr(self, attr, None)
+
+    def _run_calc(self, ts: int) -> None:
+        assert ts > self._done_ts
+        prog = self.SCALAR
+        values: List[Any] = [None] * prog.n_slots
+        for slot, attr in prog.input_loads:
+            values[slot] = getattr(self, attr)
+            setattr(self, attr, None)
+        last = self._last_cells
+        for opcode, dst, args, fn in prog.ops:
+            if opcode == OP_LIFT_ALL:
+                operands = [values[a] for a in args]
+                if all(operand is not None for operand in operands):
+                    values[dst] = fn(*operands)
+            elif opcode == OP_MERGE:
+                first = values[args[0]]
+                values[dst] = first if first is not None else values[args[1]]
+            elif opcode == OP_LIFT_ANY:
+                operands = [values[a] for a in args]
+                if any(operand is not None for operand in operands):
+                    values[dst] = fn(*operands)
+            elif opcode == OP_LAST:
+                if values[args[1]] is not None:
+                    values[dst] = last[args[0]]
+            elif opcode == OP_TIME:
+                if values[args[0]] is not None:
+                    values[dst] = ts
+            elif ts == 0:  # OP_UNIT
+                values[dst] = UNIT_VALUE
+        emit = self._on_output
+        for name, slot in prog.outputs:
+            value = values[slot]
+            if value is not None:
+                emit(name, ts, value)
+        for slot, cell in prog.last_stores:
+            value = values[slot]
+            if value is not None:
+                last[cell] = value
+        self._done_ts = ts
+
     # -- batched ingestion -------------------------------------------------
 
     def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
+        """Feed a timestamp-sorted batch of ``(ts, name, value)`` events.
+
+        Equivalent to a ``push`` per event: events of the last
+        timestamp stay pending, and on a protocol error the offending
+        event is reported and not consumed while the valid prefix
+        before it is — the same partial progress a ``push`` loop makes.
+        Returns the number of events consumed.
+        """
         if self._finished:
             raise MonitorError("feed_batch() after finish()")
         if not isinstance(events, list):
@@ -560,10 +715,8 @@ class VectorMonitorBase(PlanMonitorBase):
             return self._feed_batch_fast(events, *packed)
         error_index, error = self._validate_batch(events)
         if error is not None:
-            # Replay the valid prefix through the scalar path so the
-            # partial progress is byte-identical to a push loop.
             if error_index:
-                super().feed_batch(events[:error_index])
+                self.feed_batch(events[:error_index])
             raise error
 
         input_attrs = type(self).INPUT_ATTRS
@@ -823,6 +976,8 @@ class VectorMonitorBase(PlanMonitorBase):
             raise MonitorError(
                 "feed_columns() timestamps must be strictly increasing"
             )
+        if not columns:
+            return 0  # no stream has an event: the clock stays put
         pending = self._pending_ts
         if pending is not None:
             if first_ts <= pending:
@@ -1086,7 +1241,7 @@ class VectorMonitorBase(PlanMonitorBase):
         order as the per-event feedback loop, so results are
         bit-identical (the dtype gate in :data:`kernels.SCAN_UFUNCS`
         excludes the one divergent case, float ``max``/``min``).  The
-        cross-batch seed is the plan engine's last cell for ``s``,
+        cross-batch seed is the monitor's last cell for ``s``,
         which ``_store_last_columns`` keeps current because ``s`` is a
         ``last`` source.
         """
@@ -1196,10 +1351,10 @@ def make_vector_class(
 ) -> type:
     """Build a vector-engine monitor class for a wholly eligible *flat*.
 
-    The execution plan is built too: the inherited per-event ``push``
-    path and the monitor state run on it.  A spec with an ineligible
-    stream, or an error policy, is refused — the pipeline resolves
-    those to the codegen engine.
+    The scalar half is built too: per-event ``push`` and the pending
+    timestamp run on it.  A spec with an ineligible stream, or an error
+    policy, is refused — the pipeline resolves those to the codegen
+    engine.
     """
     np = kernels.numpy_module()
     if classification is None:
@@ -1209,20 +1364,15 @@ def make_vector_class(
             "spec is not vector-eligible (see its VEC001 notes) or has an"
             " error policy; compile it with the codegen engine"
         )
-    plan = build_plan(
-        flat,
-        order,
-        backends,
-        default_backend=default_backend,
-        metrics=metrics,
-    )
     return type(
         class_name,
         (VectorMonitorBase,),
         {
             "INPUTS": tuple(flat.inputs),
             "OUTPUTS": tuple(flat.outputs),
-            "PLAN": plan,
+            "SCALAR": build_scalar_program(
+                flat, order, backends, default_backend=default_backend
+            ),
             "VPROG": build_vector_program(
                 flat, classification, default_backend=default_backend
             ),

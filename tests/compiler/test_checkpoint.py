@@ -184,7 +184,7 @@ class TestSnapshotEveryAggregateKind:
 
 class TestCheckpointOtherEngines:
     @pytest.mark.parametrize(
-        "engine", ["plan"] + (["vector"] if numpy_available() else [])
+        "engine", ["vector"] if numpy_available() else []
     )
     def test_pending_event_reemitted(self, engine):
         compiled = build_compiled_spec(seen_set(), engine=engine)
@@ -236,65 +236,48 @@ class TestCheckpointOtherEngines:
 
 
 class TestCrossEngineResume:
-    """Snapshots are engine-specific: a plan snapshot holds slot arrays,
-    a codegen one per-stream attributes.  The resolved engine is part of
+    """Snapshots are engine-specific.  The resolved engine is part of
     the checkpoint fingerprint, so a resume under another engine skips
     the foreign checkpoint and starts fresh."""
 
-    def test_plan_checkpoint_skipped_by_codegen_resume(self, tmp_path):
-        from repro import api
-        from repro.compiler.checkpoint import list_checkpoints
-
-        events = [(t, "i", t % 5) for t in range(1, 60)]
-        plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
-        codegen = api.compile(
-            seen_set(), api.CompileOptions(engine="codegen")
-        )
-        assert set(plan.compiled.new_monitor().snapshot()) != set(
-            codegen.compiled.new_monitor().snapshot()
-        )
-        assert plan.fingerprint != codegen.fingerprint
-
-        directory = str(tmp_path)
-        api.run(
-            plan,
-            events[:40],
-            api.RunOptions(checkpoint_dir=directory, checkpoint_every=10),
-        )
-        assert list_checkpoints(directory)
-
-        metas, resumed, fresh = [], [], []
-        api.run(
-            codegen,
-            events,
-            api.RunOptions(checkpoint_dir=directory, resume=True),
-            on_output=lambda *event: resumed.append(event),
-            on_resume=metas.append,
-        )
-        api.run(codegen, events, on_output=lambda *event: fresh.append(event))
-        assert metas == [None]
-        assert resumed and resumed == fresh
-
     def test_auto_skips_checkpoint_of_plan_resolved_auto(self, tmp_path):
-        """``auto`` used to resolve scalar specs to ``plan``; it now
-        resolves them to ``codegen``.  A checkpoint an older ``auto``
-        run wrote carries the plan fingerprint (an explicit ``plan``
-        compile has the same one), so resuming under today's ``auto``
-        skips it and starts fresh instead of misreading slot state."""
+        """``auto`` used to resolve scalar specs to the since-removed
+        ``plan`` engine.  A checkpoint such a run wrote carries the
+        ``engine="plan"`` fingerprint and the plan's slot-array state,
+        so resuming under today's ``auto`` skips it and starts fresh
+        instead of misreading that state."""
         from repro import api
-        from repro.compiler.checkpoint import list_checkpoints
+        from repro.compiler.checkpoint import (
+            checkpoint_path,
+            list_checkpoints,
+            write_checkpoint,
+        )
+        from repro.compiler.plancache import plan_fingerprint
 
         events = [(t, "i", t % 5) for t in range(1, 60)]
-        older_auto = api.compile(seen_set(), api.CompileOptions(engine="plan"))
         auto = api.compile(seen_set())
         assert auto.engine_resolved == "codegen"
-        assert auto.fingerprint != older_auto.fingerprint
+        older_auto = plan_fingerprint(auto.compiled.flat, engine="plan")
+        assert auto.fingerprint != older_auto
 
         directory = str(tmp_path)
-        api.run(
-            older_auto,
-            events[:40],
-            api.RunOptions(checkpoint_dir=directory, checkpoint_every=10),
+        n_slots = len(auto.compiled.flat.streams)
+        write_checkpoint(
+            checkpoint_path(directory, 40),
+            {
+                "_pending_ts": 40,
+                "_done_ts": 39,
+                "_finished": False,
+                "_values": [None] * n_slots,
+                "_last_cells": [None],
+                "_next_cells": [],
+                "_in_i": 0,
+            },
+            {
+                "events_consumed": 40,
+                "outputs_emitted": 40,
+                "fingerprint": older_auto,
+            },
         )
         assert list_checkpoints(directory)
 

@@ -47,7 +47,7 @@ class TestFingerprints:
             {"backend_override": Backend.COPYING},
             {"alias_guard": True},
             {"error_policy": ErrorPolicy.PROPAGATE},
-            {"engine": "plan"},
+            {"engine": "vector"},
         ],
         ids=lambda o: next(iter(o)),
     )

@@ -18,7 +18,7 @@ from repro.lang import types as ty
 
 # Every surviving engine carries the hardened runtime; vector rides
 # along wherever numpy is present.
-ENGINES = ["codegen", "plan"] + (["vector"] if numpy_available() else [])
+ENGINES = ["codegen"] + (["vector"] if numpy_available() else [])
 
 DIV_SPEC = """
 in a: Int

@@ -1,6 +1,6 @@
 """Behavioral tests for the columnar vector engine.
 
-The vector monitor must be indistinguishable from the plan engine on
+The vector monitor must be indistinguishable from the codegen engine on
 every observable surface: outputs (byte-identical Python values), the
 batch protocol's error messages and partial-progress contract, carry
 state across batch boundaries, per-event ``push`` interleaving, and
@@ -47,6 +47,30 @@ out agg
 out dbl
 """
 
+LAST_DIFF = """
+in x: Int
+def p := last(x, x)
+def d := x - p
+out d
+"""
+
+#: Constants and ``unit`` fire only at timestamp 0, which the scalar
+#: half calculates; ``p`` carries the constant across via a last cell.
+AT_ZERO = """
+in i: Int
+def c := 3
+def u := unit
+def t := time(i)
+def s := add(i, c)
+def p := last(c, i)
+def q := add(i, p)
+out c
+out u
+out t
+out s
+out q
+"""
+
 DELAYED = """
 in a: Int
 in r: Unit
@@ -62,8 +86,8 @@ def compile_pair(text, **kwargs):
     flat = flatten(parse_spec(text))
     check_types(flat)
     vec = build_compiled_spec(flat, engine="vector", **kwargs)
-    plan = build_compiled_spec(flat, engine="plan", **kwargs)
-    return vec, plan
+    codegen = build_compiled_spec(flat, engine="codegen", **kwargs)
+    return vec, codegen
 
 
 def run_batches(compiled, event_batches, end_time=None):
@@ -122,23 +146,23 @@ class TestProgramShape:
 class TestBatchBoundaries:
     @pytest.mark.parametrize("split", [1, 2, 7, 13, 59])
     def test_last_carries_across_batches(self, split):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, codegen = compile_pair(SCALAR_CHAIN)
         events = chain_events()
         batches = [
             events[i : i + split] for i in range(0, len(events), split)
         ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
+        assert run_batches(vec, batches) == run_batches(codegen, [events])
 
     def test_batch_boundary_inside_timestamp(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         events = [(1, "a", 1), (1, "b", 2), (2, "a", 3), (2, "b", 4)]
         split = [events[:1], events[1:3], events[3:]]
-        assert run_batches(vec, split) == run_batches(plan, [events])
+        assert run_batches(vec, split) == run_batches(codegen, [events])
 
     def test_push_and_batch_interleave(self):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, codegen = compile_pair(SCALAR_CHAIN)
         events = chain_events(30)
-        expected = run_batches(plan, [events])
+        expected = run_batches(codegen, [events])
         collected = []
         monitor = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
         for ts, name, value in events[:10]:
@@ -150,14 +174,14 @@ class TestBatchBoundaries:
         assert collected == expected
 
     def test_delay_spec_agrees(self):
-        vec, plan = compile_pair(DELAYED)
+        vec, codegen = compile_pair(DELAYED)
         events = []
         for t in range(1, 100, 3):
             events.append((t, "a", t % 5 + 1))
             events.append((t, "r", ()))
         got_vec = run_batches(vec, [events], end_time=120)
-        got_plan = run_batches(plan, [events], end_time=120)
-        assert got_vec == got_plan
+        got_codegen = run_batches(codegen, [events], end_time=120)
+        assert got_vec == got_codegen
 
     def test_outputs_are_python_scalars(self):
         vec, _ = compile_pair(SCALAR_CHAIN)
@@ -185,9 +209,9 @@ class TestBatchProtocol:
     def test_out_of_order_keeps_partial_progress(self):
         # The scalar loop consumes events up to the offender; the
         # vectorized batch path must honor that exact contract.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         got = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             monitor = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             with pytest.raises(MonitorError, match="out-of-order"):
@@ -198,7 +222,7 @@ class TestBatchProtocol:
             monitor.feed_batch([(3, "a", 3)])
             monitor.finish()
             got[compiled.engine] = collected
-        assert got["vector"] == got["plan"]
+        assert got["vector"] == got["codegen"]
 
     def test_after_finish(self):
         monitor, _ = self.make()
@@ -209,51 +233,51 @@ class TestBatchProtocol:
 
 class TestFeedColumns:
     def test_matches_row_feeding(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         ts = list(range(1, 50))
         cols = {"a": [t % 7 for t in ts], "b": [t % 5 for t in ts]}
-        vec_out, plan_out = [], []
+        vec_out, codegen_out = [], []
         mv = vec.new_monitor(lambda n, t, v: vec_out.append((n, t, v)))
         mv.feed_columns(ts, cols)
         mv.finish()
-        mp = plan.new_monitor(lambda n, t, v: plan_out.append((n, t, v)))
+        mp = codegen.new_monitor(lambda n, t, v: codegen_out.append((n, t, v)))
         mp.feed_columns(ts, cols)
         mp.finish()
-        assert vec_out == plan_out
+        assert vec_out == codegen_out
 
     def test_numpy_columns_zero_copy_path(self):
         np = kernels.numpy_module()
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         ts = np.arange(1, 50)
         cols = {
             "a": np.arange(1, 50) % 7,
             "b": np.arange(1, 50) % 5,
         }
-        vec_out, plan_out = [], []
+        vec_out, codegen_out = [], []
         mv = vec.new_monitor(lambda n, t, v: vec_out.append((n, t, v)))
         mv.feed_columns(ts, cols)
         mv.finish()
-        mp = plan.new_monitor(lambda n, t, v: plan_out.append((n, t, v)))
+        mp = codegen.new_monitor(lambda n, t, v: codegen_out.append((n, t, v)))
         mp.feed_columns(
             ts.tolist(), {k: v.tolist() for k, v in cols.items()}
         )
         mp.finish()
-        assert vec_out == plan_out
+        assert vec_out == codegen_out
         assert all(type(v) in (int, bool) for _, _, v in vec_out)
 
     def test_partial_column_set(self):
         # Streams absent from the column mapping simply have no events.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         ts = list(range(1, 20))
         cols = {"a": [t + 1 for t in ts]}
         out = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             m.feed_columns(ts, cols)
             m.finish()
             out[compiled.engine] = collected
-        assert out["vector"] == out["plan"]
+        assert out["vector"] == out["codegen"]
 
     def test_unknown_stream(self):
         vec, _ = compile_pair(TWO_INPUT)
@@ -282,10 +306,10 @@ class TestFeedColumns:
     def test_row_shim_rejects_unsorted_timestamps(self):
         # Regression: the base row shim used to accept an unsorted (or
         # merely non-strict) timestamps array that the vector path
-        # rejects — the plan engine silently consumed it.
-        _, plan = compile_pair(TWO_INPUT)
+        # rejects — the row shim silently consumed it.
+        _, codegen = compile_pair(TWO_INPUT)
         for bad_ts in ([1, 1], [2, 1]):
-            monitor = plan.new_monitor()
+            monitor = codegen.new_monitor()
             with pytest.raises(MonitorError, match="strictly increasing"):
                 monitor.feed_columns(bad_ts, {"a": [1, 2]})
 
@@ -308,9 +332,9 @@ class TestFeedColumns:
         # Error message AND partial progress must be byte-identical:
         # a rejected columnar batch consumes nothing on either engine,
         # so a clean batch afterwards produces identical outputs.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             m = compiled.new_monitor(
                 lambda n, t, v: collected.append((n, t, v))
@@ -320,37 +344,53 @@ class TestFeedColumns:
             m.feed_columns([5, 6], {"a": [5, 6], "b": [1, 2]})
             m.finish()
             results[compiled.engine] = (str(exc.value), collected)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_stale_timestamp_identical_across_engines(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             m = compiled.new_monitor()
             m.feed_columns([1, 2, 3], {"a": [1, 2, 3]})
             with pytest.raises(MonitorError) as exc:
                 m.feed_columns([1, 2], {"a": [9, 9]})
             results[compiled.engine] = str(exc.value)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_empty_batch_validates_columns(self):
         # Zero timestamps is a no-op, but unknown or ragged columns
         # are still reported — on both engines.
-        vec, plan = compile_pair(TWO_INPUT)
-        for compiled in (vec, plan):
+        vec, codegen = compile_pair(TWO_INPUT)
+        for compiled in (vec, codegen):
             monitor = compiled.new_monitor()
             assert monitor.feed_columns([], {"a": []}) == 0
             with pytest.raises(MonitorError, match="unknown input stream"):
                 monitor.feed_columns([], {"nope": []})
+
+    def test_empty_column_set_leaves_clock(self):
+        # No stream has an event: the batch is validated but consumes
+        # nothing, so a later push at one of its timestamps is accepted
+        # (the row shim turns it into no events at all).
+        vec, codegen = compile_pair(LAST_DIFF)
+        out = {}
+        for compiled in (vec, codegen):
+            collected = []
+            m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+            assert m.feed_columns([1, 2, 3], {}) == 0
+            m.push("x", 2, 5)
+            m.push("x", 3, 7)
+            m.finish()
+            out[compiled.engine] = collected
+        assert out["vector"] == out["codegen"] == [("d", 3, 2)]
 
     def test_runner_validating_path_matches(self):
         # The runner's validating row conversion must reject with the
         # same message and zero partial progress as the raw monitor.
         from repro.compiler.runtime import MonitorRunner
 
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             runner = MonitorRunner(
                 compiled,
@@ -362,21 +402,21 @@ class TestFeedColumns:
             runner.feed_columns([5, 6], {"a": [5, 6], "b": [1, 2]})
             runner.finish()
             results[compiled.engine] = (str(exc.value), collected)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_after_pending_rows(self):
         # feed_columns after a partially-consumed row batch must merge
         # with the pending timestamp, exactly like another feed_batch.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         out = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             m.feed_batch([(1, "a", 1), (2, "a", 2)])  # t=2 pending
             m.feed_columns([3, 4], {"b": [7, 8]})
             m.finish()
             out[compiled.engine] = collected
-        assert out["vector"] == out["plan"]
+        assert out["vector"] == out["codegen"]
 
     def test_later_chunks_stay_columnar(self, monkeypatch):
         # Every call leaves its last timestamp pending; the next chunk
@@ -385,7 +425,7 @@ class TestFeedColumns:
         from repro.compiler.monitor import MonitorBase
 
         np = kernels.numpy_module()
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, codegen = compile_pair(SCALAR_CHAIN)
         chunks = [np.arange(start, start + 40) for start in (1, 41, 81)]
 
         def run(compiled):
@@ -396,7 +436,7 @@ class TestFeedColumns:
             m.finish()
             return collected
 
-        expected = run(plan)
+        expected = run(codegen)
 
         def row_shim(self, timestamps, columns):
             raise AssertionError("feed_columns fell back to the row shim")
@@ -405,27 +445,27 @@ class TestFeedColumns:
         assert run(vec) == expected
 
     def test_chunk_at_pending_timestamp_merges(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, codegen = compile_pair(TWO_INPUT)
         out = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             collected = []
             m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             m.feed_columns([1, 2], {"a": [1, 2]})  # t=2 pending
             m.feed_columns([2, 3], {"b": [7, 8]})  # joins t=2
             m.finish()
             out[compiled.engine] = collected
-        assert out["vector"] == out["plan"]
+        assert out["vector"] == out["codegen"]
 
-    def test_chunk_before_pending_timestamp_rejected_like_plan(self):
-        vec, plan = compile_pair(TWO_INPUT)
+    def test_chunk_before_pending_timestamp_rejected_like_codegen(self):
+        vec, codegen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, codegen):
             m = compiled.new_monitor()
             m.feed_columns([1, 5], {"a": [1, 5]})  # t=5 pending
             with pytest.raises(MonitorError) as exc:
                 m.feed_columns([3, 4], {"a": [3, 4]})
             results[compiled.engine] = str(exc.value)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
         assert "out-of-order" in results["vector"]
 
 
@@ -491,9 +531,9 @@ out d
 
 class TestStatefulness:
     def test_snapshot_restore_roundtrip(self):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, codegen = compile_pair(SCALAR_CHAIN)
         events = chain_events(40)
-        expected = run_batches(plan, [events])
+        expected = run_batches(codegen, [events])
         first = []
         m1 = vec.new_monitor(lambda n, t, v: first.append((n, t, v)))
         m1.feed_batch(events[:20])
@@ -504,20 +544,122 @@ class TestStatefulness:
         m2.finish()
         assert first == expected
 
-    def test_vector_and_plan_snapshots_interchange(self):
-        # Both engines share the plan-slot state layout, so a vector
-        # snapshot restores into a plan monitor and vice versa.
-        vec, plan = compile_pair(SCALAR_CHAIN)
+
+class TestScalarHalf:
+    """Per-event ``push``, timestamp 0 and the pending timestamp run on
+    the vector engine's scalar half."""
+
+    @pytest.mark.parametrize("text", [SCALAR_CHAIN, TWO_INPUT, AT_ZERO])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_push_matches_codegen(self, text, start):
+        vec, codegen = compile_pair(text)
+        assert vec.engine == "vector"
+        inputs = vec.monitor_class.INPUTS
+        events = [
+            (t, name, (t * 7) % 13 - 6)
+            for t in range(start, 40)
+            for name in inputs
+            if (t + len(name)) % 3
+        ]
+        out = {}
+        for compiled in (vec, codegen):
+            collected = []
+            m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+            for ts, name, value in events:
+                m.push(name, ts, value)
+            m.finish()
+            out[compiled.engine] = collected
+        assert out["vector"] == out["codegen"]
+
+    def test_lift_callables_resolved(self):
+        from repro.compiler.vector import OP_LIFT_ALL, OP_MERGE
+
+        vec, _ = compile_pair(TWO_INPUT)
+        ops = vec.monitor_class.SCALAR.ops
+        lifted = [op for op in ops if op[0] == OP_LIFT_ALL]
+        assert lifted and all(callable(op[3]) for op in lifted)
+        merges = [op for op in ops if op[0] == OP_MERGE]
+        assert merges and all(op[3] is None for op in merges)
+
+    def test_order_mismatch_rejected(self):
+        from repro.compiler.codegen import CodegenError
+        from repro.compiler.vector import build_scalar_program
+
+        flat = flatten(parse_spec(SCALAR_CHAIN))
+        check_types(flat)
+        with pytest.raises(CodegenError):
+            build_scalar_program(flat, ["only_one"], {})
+
+    def test_both_halves_share_last_cells(self):
+        from repro.compiler.vector import last_cells
+
+        vec, _ = compile_pair(AT_ZERO)
+        cls = vec.monitor_class
+        streams = list(vec.flat.streams)
+        scalar = {streams[slot]: cell for slot, cell in cls.SCALAR.last_stores}
+        name_of = {vslot: name for name, vslot in cls.VPROG.vslot_of.items()}
+        columnar = {name_of[vslot]: cell for vslot, cell, _ in cls.VPROG.last_vec}
+        assert scalar == columnar == last_cells(vec.flat) == {"c": 0}
+
+    def test_push_snapshot_restore_roundtrip(self):
+        vec, codegen = compile_pair(SCALAR_CHAIN)
+        events = chain_events(60)
+        expected = run_batches(codegen, [events])
+        collected = []
+        m1 = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        for ts, name, value in events[:30]:
+            m1.push(name, ts, value)
+        state = m1.snapshot()
+        # m1 is abandoned unflushed: its pending timestamp lives on in
+        # the snapshot and is emitted by the restored m2.
+        m2 = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        m2.restore(state)
+        for ts, name, value in events[30:]:
+            m2.push(name, ts, value)
+        m2.finish()
+        assert collected == expected
+
+    def test_checkpoint_encoding_of_last_cells(self):
+        from repro.compiler.checkpoint import decode_state, encode_state
+
+        vec, _ = compile_pair(SCALAR_CHAIN)
+        monitor = vec.new_monitor()
+        monitor.feed_batch(chain_events(10))
+        state = monitor.snapshot()
+        assert isinstance(state["_last_cells"], list)
+        fresh = vec.new_monitor()
+        fresh.restore(decode_state(encode_state(state)))
+        assert fresh.snapshot() == state
+
+    def test_older_snapshot_layout_restores(self):
+        # Snapshots written before the scalar half moved here also
+        # carried a slot list and delay cells; restoring one ignores
+        # them and resumes from the last cells and pending inputs.
+        vec, codegen = compile_pair(SCALAR_CHAIN)
         events = chain_events(40)
-        expected = run_batches(plan, [events])
+        expected = run_batches(codegen, [events])
         collected = []
         m1 = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
         m1.feed_batch(events[:20])
-        m2 = plan.new_monitor(lambda n, t, v: collected.append((n, t, v)))
-        m2.restore(m1.snapshot())
+        slots = [None] * len(vec.flat.streams)
+        state = dict(m1.snapshot(), _values=slots, _next_cells=[])
+        m2 = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        m2.restore(state)
         m2.feed_batch(events[20:])
         m2.finish()
         assert collected == expected
+
+    def test_crash_resume(self, tmp_path):
+        from repro.testing import crash_and_resume
+
+        vec, _ = compile_pair(SCALAR_CHAIN)
+        expected, recovered = crash_and_resume(
+            vec,
+            chain_events(50),
+            crash_after=20,
+            checkpoint_dir=str(tmp_path),
+        )
+        assert recovered == expected
 
 
 class TestMetrics:

@@ -5,7 +5,7 @@ s = merge(k, x)`` — an in-batch feedback cycle the columnar classifier
 normally rejects.  These tests pin the scan recognizer that salvages
 it: the triple executes as one seeded ``ufunc.accumulate``, matching
 the scalar engines bit-for-bit across batch boundaries, and the dtype
-gate keeps the one divergent case (float ``max``/``min``) on the plan
+gate keeps the one divergent case (float ``max``/``min``) on the codegen
 engine.
 """
 
@@ -118,10 +118,10 @@ class TestClassification:
 class TestDifferential:
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     @pytest.mark.parametrize("mode", ["push", "batch", "columns"])
-    def test_matches_plan_across_batches(self, aggregate, mode):
+    def test_matches_codegen_across_batches(self, aggregate, mode):
         spec = running_aggregate(aggregate)
         events = int_events()
-        expected = run(spec, "plan", events)
+        expected = run(spec, "codegen", events)
         assert len(expected) == len(events)
         assert run(spec, "vector", events, mode) == expected
 
@@ -141,7 +141,7 @@ class TestDifferential:
         assert classify_vector(api.compile(spec).compiled.flat).scans
         events = int_events(length=120)
         assert run(spec, "vector", events, "batch") == run(
-            spec, "plan", events
+            spec, "codegen", events
         )
 
     def test_float_accumulate_is_order_exact(self):
@@ -153,7 +153,7 @@ class TestDifferential:
         # Exact equality on purpose: accumulate folds left-to-right in
         # the same order as the scalar loop, so no tolerance is needed.
         assert run(spec, "vector", events, "batch") == run(
-            spec, "plan", events
+            spec, "codegen", events
         )
 
     def test_sparse_mask_and_empty_chunks(self):
@@ -170,7 +170,7 @@ class TestDifferential:
             else:
                 events.append((t, "x", rng.randint(-9, 9)))
                 events.append((t, "y", rng.randint(-9, 9)))
-        expected = run(spec, "plan", events)
+        expected = run(spec, "codegen", events)
         assert run(spec, "vector", events, "batch") == expected
 
     def test_scan_metric_counter(self):

@@ -88,7 +88,7 @@ class TestErrors:
         self, spec_file, command, capsys
     ):
         with pytest.raises(SystemExit) as exc:
-            main([command, spec_file, "--engine", "plan"])
+            main([command, spec_file, "--engine", "codegen"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"--engine does not apply to '{command}'" in err
@@ -218,9 +218,17 @@ class TestStrictFlag:
 FUSED_SPEC = PERSISTENT_SPEC.replace("out s", "def n  := set_size(s)\nout n")
 
 
+def _dot_fills(dot):
+    """Node name → fill colour of a ``dot`` rendering (filled nodes)."""
+    import re
+
+    return dict(re.findall(r'"(\w+)" \[shape=\w+, style=filled, fillcolor="(\w+)"\]', dot))
+
+
 class TestReportsTheCompiledSpec:
-    """``analyze`` and ``lint`` report the spec ``run`` compiles: after
-    write-then-read fusion (OPT008), with the fusion as a note."""
+    """``analyze``, ``lint`` and ``dot`` report the spec ``run``
+    compiles: after write-then-read fusion (OPT008), with the fusion as
+    a note."""
 
     def test_analyze_shows_fused_family_mutable(self, tmp_path, capsys):
         spec = tmp_path / "u.tessla"
@@ -246,6 +254,25 @@ class TestReportsTheCompiledSpec:
             "read": "n",
             "fused": "set_size_after_add",
         }
+
+    def test_dot_colours_fused_family_mutable(self, tmp_path, capsys):
+        spec = tmp_path / "u.tessla"
+        spec.write_text(FUSED_SPEC)
+        assert main(["dot", str(spec)]) == 0
+        fills = _dot_fills(capsys.readouterr().out)
+        assert fills == {
+            name: "palegreen" for name in ("_s0", "m", "y", "yl", "yp")
+        }
+
+    def test_dot_keeps_fig4_lower_persistent(self, tmp_path, capsys):
+        from repro.frontend import unparse
+        from repro.speclib import fig4_lower_spec
+
+        spec = tmp_path / "f.tessla"
+        spec.write_text(unparse(fig4_lower_spec()))
+        assert main(["dot", str(spec)]) == 0
+        fills = _dot_fills(capsys.readouterr().out)
+        assert fills and set(fills.values()) == {"lightcoral"}
 
     def test_fig4_lower_keeps_its_witnesses(self, tmp_path, capsys):
         from repro.frontend import unparse

@@ -82,7 +82,7 @@ class TestResolution:
         assert monitor.engine_resolved == "codegen"
 
     @pytest.mark.parametrize(
-        "engine", ["codegen", "plan"] + (["vector"] if has_numpy else [])
+        "engine", ["codegen"] + (["vector"] if has_numpy else [])
     )
     def test_explicit_strings_unchanged(self, engine):
         monitor = api.compile(
@@ -186,8 +186,6 @@ class TestFingerprints:
             seen_set(), api.CompileOptions(engine="codegen")
         )
         assert auto.fingerprint == explicit.fingerprint
-        plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
-        assert auto.fingerprint != plan.fingerprint
 
     @needs_numpy
     @pytest.mark.parametrize(

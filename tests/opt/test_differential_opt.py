@@ -30,7 +30,7 @@ from repro.compiler.kernels import numpy_available
 
 # The vector engine rides along wherever numpy is present; without it
 # the suite must still pass (engine="vector" then refuses to compile).
-ENGINES = ("codegen", "plan") + (
+ENGINES = ("codegen",) + (
     ("vector",) if numpy_available() else ()
 )
 

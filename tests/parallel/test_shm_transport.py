@@ -369,7 +369,7 @@ class TestEncodingChoice:
         assert pool_bytes(POOL_BYTES_SHARED) == shared
         assert pool_bytes(POOL_BYTES_PICKLED) > pickled
 
-    @pytest.mark.parametrize("engine", ["plan", "codegen"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_dense_trace_under_scalar_engine_packs_as_blob(
         self, packed_kinds, engine
     ):

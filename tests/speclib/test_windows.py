@@ -28,7 +28,7 @@ from repro.speclib import (
     window,
 )
 
-ENGINES = ["codegen", "plan"] + (["vector"] if numpy_available() else [])
+ENGINES = ["codegen"] + (["vector"] if numpy_available() else [])
 
 
 def make_events(length=60, seed=3, gappy=True):
@@ -45,7 +45,7 @@ def make_events(length=60, seed=3, gappy=True):
 
 def reference(spec, events):
     """Ground-truth output trace from the reference interpreter."""
-    m = api.compile(spec, api.CompileOptions(engine="plan"))
+    m = api.compile(spec, api.CompileOptions(engine="codegen"))
     out = interpret(m.compiled.flat, {"x": Stream([(t, v) for t, _n, v in events])})
     return [("win", t, v) for t, v in out["win"].events]
 
@@ -93,9 +93,7 @@ FIXTURES = {
 MATRIX = [
     ("codegen", "push", False),
     ("codegen", "batch", True),
-    ("plan", "batch", False),
-    ("plan", "push", True),
-    ("plan", "columns", False),
+    ("codegen", "columns", False),
 ]
 if numpy_available():
     MATRIX += [("vector", "batch", False), ("vector", "columns", True)]
