@@ -2,12 +2,12 @@
 """The textual frontend end to end: parse, analyze, emit, run.
 
 A spec written in the concrete syntax (with derived-operator macros and
-signal-semantics ``slift``) is compiled to both the Python monitor and
-Scala source, and run on a trace in the TeSSLa trace format.
+signal-semantics ``slift``) is compiled to a Python monitor, whose
+generated calculation section is printed, and run on a trace in the
+TeSSLa trace format.
 """
 
 from repro import analyze_mutability, api, flatten, parse_spec
-from repro.compiler import generate_scala_source
 from repro.semantics import read_trace, write_trace
 
 SPEC = """
@@ -46,11 +46,8 @@ def main() -> None:
     print("\n=== outputs (TeSSLa trace format) ===")
     print(write_trace({name: s.events for name, s in outputs.items()}), end="")
 
-    print("\n=== Scala emission (first lines) ===")
-    scala = generate_scala_source(
-        flat, monitor.compiled.order, monitor.compiled.backends
-    )
-    print("\n".join(scala.splitlines()[:12]))
+    print("\n=== generated calculation section (first lines) ===")
+    print("\n".join(monitor.compiled.source.splitlines()[:12]))
 
 
 if __name__ == "__main__":

@@ -165,7 +165,7 @@ def _read_trace(path: str, flat) -> List[Tuple[int, str, Any]]:
 #: Subcommands whose result is independent of the execution engine;
 #: they reject ``--engine`` (the engine belongs to
 #: :class:`repro.api.CompileOptions`, which these commands never build).
-_ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "emit-scala", "optimize")
+_ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "optimize")
 
 
 def _compiled_flat(flat) -> Tuple[Any, List[Any]]:
@@ -706,7 +706,6 @@ def main(argv=None) -> int:
             "lint",
             "dot",
             "emit",
-            "emit-scala",
             "run",
             "run-many",
             "profile",
@@ -972,21 +971,6 @@ def main(argv=None) -> int:
             print(AnalysisReport(fused).dot())
         elif args.command == "emit":
             print(api.compile(flat, _compile_options(args)).source)
-        elif args.command == "emit-scala":
-            from .analysis import analyze_mutability
-            from .compiler import generate_scala_source
-            from .graph import build_usage_graph, translation_order
-
-            if args.no_optimize:
-                order = translation_order(build_usage_graph(flat))
-                backends = {}
-            else:
-                result = analyze_mutability(flat)
-                order = result.order
-                backends = {
-                    name: result.backend_for(name) for name in flat.streams
-                }
-            print(generate_scala_source(flat, order, backends))
         elif args.command == "run-many":
             return _cmd_run_many(args, flat)
         elif args.command == "profile":

@@ -8,7 +8,6 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .codegen import CodegenError, CodeGenerator, generate_monitor_class
-from .scala_backend import generate_scala_source
 from .monitor import (
     MonitorBase,
     MonitorError,
@@ -48,7 +47,6 @@ __all__ = [
     "flat_fingerprint",
     "freeze",
     "generate_monitor_class",
-    "generate_scala_source",
     "latest_checkpoint",
     "plan_fingerprint",
     "read_checkpoint",

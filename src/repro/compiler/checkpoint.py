@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ErrorValue
@@ -95,6 +96,8 @@ _DECODERS: Dict[Tuple[str, str], Any] = {
     ("vector", "mutable"): MutableVector,
     ("vector", "copying"): CopyVector,
     ("vector", "guarded"): GuardedVector,
+    ("set", "bare"): set,
+    ("queue", "bare"): deque,
 }
 
 
@@ -119,6 +122,10 @@ def encode_value(value: Any) -> Any:
         return ("list", [encode_value(v) for v in value])
     if isinstance(value, dict):
         return ("dict", [(k, encode_value(v)) for k, v in value.items()])
+    if isinstance(value, set):
+        return ("set", "bare", [encode_value(v) for v in value])
+    if isinstance(value, deque):
+        return ("queue", "bare", [encode_value(v) for v in value])
     if isinstance(value, SetBase):
         return ("set", _family_of(value), [encode_value(v) for v in value])
     if isinstance(value, MapBase):

@@ -35,11 +35,23 @@ Stream state that survives between timestamps lives on the instance:
 The class itself is assembled with ``type()`` from the compiled
 function and a *layout* (inputs, outputs, state attributes, the
 timestamp-0 program), so the compiled source holds nothing but the
-calculation section.  Lifted functions are bound per stream into the
-generated module's namespace; aggregate constructors receive the
-collection backend chosen by the mutability analysis for the
-constructed stream — the single point where the optimization manifests
-in code.
+calculation section.
+
+Where the mutability decision shows in code (:func:`lift_modes`): a
+certified-mutable family whose lifts all have a Python
+:attr:`~repro.lang.builtins.LiftedFunction.template` is held as a bare
+``set``/``dict``/``deque``/``list``, and ``_calc_rows`` inlines the
+templates — ``v_was = (v_i in v_seen_l)`` — the way the paper's
+optimized monitors update the target language's own collections.
+Every other lift is called as ``_f_<stream>``, a callable bound per
+stream into the generated module's namespace: persistent, copying and
+alias-guarded families keep their wrapper classes, whose constructors
+receive the backend the analysis chose, and compiles with an error
+policy or metrics call every lift.
+
+Outputs go straight to the caller's callback; ``_calc_rows`` and
+``_calc0`` count them into the monitor's ``RunReport`` themselves, in a
+local written back in a ``finally``.
 """
 
 from __future__ import annotations
@@ -60,15 +72,21 @@ from typing import (
     Tuple,
 )
 
+from ..analysis.unionfind import UnionFind
 from ..errors import ErrorPolicy, ErrorValue
 from ..lang.ast import Delay, Last, Lift, Nil, TimeExpr, UnitExpr
-from ..lang.builtins import EventPattern, LiftedFunction
+from ..lang.builtins import (
+    TEMPLATE_GLOBALS,
+    Access,
+    EventPattern,
+    LiftedFunction,
+)
 from ..lang.lint import zero_only_streams
 from ..lang.spec import FlatSpec
 from ..lang.types import BOOL, FLOAT, INT, STR
 from ..structures import Backend
 from .monitor import UNIT_VALUE, MonitorBase, MonitorError
-from .runtime import RunReport, delay_next, wrap_lift
+from .runtime import delay_next, wrap_lift
 
 
 class CodegenError(Exception):
@@ -85,6 +103,111 @@ _NONE_PAYLOAD = "None is the no-event value; not a valid payload"
 
 #: Guard of a stream that fires in every row ``_calc_rows`` sees.
 _ALWAYS = ""
+
+#: Backends whose updates land in shared storage.
+_IN_PLACE = (Backend.MUTABLE, Backend.GUARDED)
+
+
+def lift_modes(
+    flat: FlatSpec,
+    backend_for: Callable[[str], Backend],
+    calls_only: bool = False,
+) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """``(bare, inline)``: the lifts bound to their template over bare
+    collections, and the lifts ``_calc_rows`` inlines.
+
+    *Representation.*  A family — streams joined by write, pass-through
+    and ``last`` edges, which share one backend — is held as a bare
+    ``set``/``dict``/``deque``/``list`` when its streams' backend is
+    ``MUTABLE``, it holds no input (the environment builds those), and
+    every lift that reads, writes or passes one of its streams has a
+    :attr:`~repro.lang.builtins.LiftedFunction.template`.  Anything
+    else (persistent, guarded or copying backends, an ad-hoc lift
+    written against the ``SetBase`` protocol) keeps the wrapper
+    classes.  The rule reads only the backends, so a monitor and its
+    metrics twin share one state layout.
+
+    *Invocation.*  A lift touching a bare aggregate is bound to its
+    template; it is inlined when it has a template and every aggregate
+    it touches is bare (scalar lifts included).  With *calls_only* (an
+    error policy or metrics: ``wrap_lift`` and ``instrument_lift`` must
+    see each call) nothing is inlined.
+    """
+    types = flat.types
+    aggregates = {
+        name
+        for name in flat.streams
+        if getattr(types.get(name), "is_complex", True)
+    }
+    held = {name for name in aggregates if backend_for(name) is Backend.MUTABLE}
+    # streams whose family keeps the wrappers: other backends, inputs,
+    # and (below) everything a template-less lift touches
+    seeds = [
+        name for name in aggregates if name not in held or name in flat.inputs
+    ]
+    lifts: List[Tuple[str, Optional[str], List[str]]] = []
+    for name, expr in flat.definitions.items():
+        if isinstance(expr, Lift):
+            touched = [name] + [
+                arg.name
+                for arg, access in zip(expr.args, expr.func.access)
+                if access is not Access.NONE
+            ]
+            template = expr.func.template
+            lifts.append((name, template, touched))
+            if template is None:
+                seeds.extend(stream for stream in touched if stream in held)
+    if held and seeds:
+        held -= _families(flat, seeds)
+    bare: Set[str] = set()
+    inline: Set[str] = set()
+    for name, template, touched in lifts:
+        if template is None:
+            continue
+        states = [stream in held for stream in touched if stream in aggregates]
+        if any(states):
+            bare.add(name)
+        if not calls_only and all(states):
+            inline.add(name)
+    return frozenset(bare), frozenset(inline)
+
+
+def _families(flat: FlatSpec, seeds: Iterable[str]) -> Set[str]:
+    """Every stream joined to one of *seeds* by write, pass-through and
+    ``last`` edges."""
+    families = UnionFind(flat.streams)
+    for name, expr in flat.definitions.items():
+        if isinstance(expr, Last):
+            families.union(name, expr.value.name)
+        elif isinstance(expr, Lift):
+            for arg, access in zip(expr.args, expr.func.access):
+                if access is Access.WRITE or access is Access.PASS:
+                    families.union(name, arg.name)
+    roots = {families.find(name) for name in seeds}
+    return {name for name in flat.streams if families.find(name) in roots}
+
+
+def _bind_lift(
+    func: LiftedFunction,
+    stream: str,
+    backend: Backend,
+    bare: bool,
+    error_policy: Optional[ErrorPolicy],
+    metrics: Optional[Any],
+) -> Callable[..., Any]:
+    """The callable ``_f_<stream>`` names: the template over bare
+    collections or the backend's implementation, instrumented and
+    wrapped as the compile asks."""
+    impl = func.bare_impl() if bare else func.bind(backend)
+    if metrics is not None:
+        from ..obs.metrics import instrument_lift
+
+        impl = instrument_lift(
+            impl, func, stream, metrics, in_place=backend in _IN_PLACE
+        )
+    if error_policy is not None:
+        impl = wrap_lift(stream, func.name, impl, error_policy)
+    return impl
 
 
 def _tuple_getter(attrs: Sequence[str]) -> Callable[[Any], tuple]:
@@ -150,8 +273,6 @@ class CodegenMonitorBase(MonitorBase):
     def _init_state(self) -> None:
         for attr in self.STATE:
             setattr(self, attr, None)
-        if self.ERROR_MODE:
-            self._report = RunReport()
 
     def _calc_rows(self, rows: Sequence[tuple], emit: Any) -> None:
         """The calculation section over *rows*, all after timestamp 0."""
@@ -188,7 +309,7 @@ class CodegenMonitorBase(MonitorBase):
         only ``unit``, ``time``, merges and lifts can fire.
         """
         lifts = self._calc_rows.__globals__
-        rep = getattr(self, "_report", None)
+        rep = self._report
         error_mode = self.ERROR_MODE
         values: Dict[str, Any] = dict(zip(self.INPUTS, row[1:]))
         for name, kind, args in self.PROGRAM:
@@ -213,12 +334,17 @@ class CodegenMonitorBase(MonitorBase):
                         value = func(*operands)
             values[name] = value
         emit = self._on_output
-        for name in self.OUTPUTS:
-            value = values.get(name)
-            if value is not None:
-                if error_mode and value.__class__ is ErrorValue:
-                    rep.error_outputs += 1
-                emit(name, 0, value)
+        n_out = 0
+        try:
+            for name in self.OUTPUTS:
+                value = values.get(name)
+                if value is not None:
+                    if error_mode and value.__class__ is ErrorValue:
+                        rep.error_outputs += 1
+                    n_out += 1
+                    emit(name, 0, value)
+        finally:
+            rep.events_out += n_out
         for name in self.LASTS:
             value = values.get(name)
             if value is not None:
@@ -425,9 +551,8 @@ class CodeGenerator:
         self.class_name = class_name
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when set,
         #: structure-writing lifts are wrapped with per-stream copy /
-        #: in-place counters.  ``None`` (the default) installs no wrapper
-        #: at all, so uninstrumented monitors bind the exact same
-        #: callables as before.
+        #: in-place counters and no lift is inlined.  ``None`` (the
+        #: default) installs no wrapper at all.
         self.metrics = metrics
         #: When set, the generated monitor evaluates under the hardened
         #: error semantics (see :mod:`repro.compiler.runtime`): lifts
@@ -436,24 +561,36 @@ class CodeGenerator:
         self.error_policy = error_policy
         self.namespace: Dict[str, Any] = _base_namespace(error_policy)
         self._dead_streams: Optional[Set[str]] = None
+        self._lift_modes: Optional[
+            Tuple[FrozenSet[str], FrozenSet[str]]
+        ] = None
         if sorted(self.order) != sorted(flat.streams):
             raise CodegenError("order must enumerate exactly the spec's streams")
 
     # -- helpers -------------------------------------------------------------
 
+    def _modes(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+        """:func:`lift_modes` of this compile, computed once."""
+        if self._lift_modes is None:
+            self._lift_modes = lift_modes(
+                self.flat,
+                self.backend_for,
+                self.error_policy is not None or self.metrics is not None,
+            )
+        return self._lift_modes
+
     def _bind_functions(self) -> None:
+        bare = self._modes()[0]
         for name, expr in self.flat.definitions.items():
             if isinstance(expr, Lift) and expr.func.name != "merge":
-                impl = expr.func.bind(self.backend_for(name))
-                if self.metrics is not None:
-                    from ..obs.metrics import instrument_lift
-
-                    impl = instrument_lift(impl, expr.func, name, self.metrics)
-                if self.error_policy is not None:
-                    impl = wrap_lift(
-                        name, expr.func.name, impl, self.error_policy
-                    )
-                self.namespace[f"_f_{name}"] = impl
+                self.namespace[f"_f_{name}"] = _bind_lift(
+                    expr.func,
+                    name,
+                    self.backend_for(name),
+                    name in bare,
+                    self.error_policy,
+                    self.metrics,
+                )
 
     def _dead(self) -> Set[str]:
         """Streams that fire at most at timestamp 0: ``None`` in every row
@@ -510,6 +647,7 @@ class CodeGenerator:
             "cells": sorted(cells),
             "delays": delays,
             "error_mode": self.error_policy is not None,
+            "bare": sorted(self._modes()[0]),
         }
 
     # -- assembly ------------------------------------------------------------
@@ -522,6 +660,7 @@ class CodeGenerator:
         error_mode = self.error_policy is not None
         has_delays = any(isinstance(e, Delay) for e in flat.definitions.values())
         dead = self._dead()
+        inline = self._modes()[1]
         #: stream → its value expression, and its guard: the variable
         #: whose None-ness decides whether it fires, ALWAYS when it fires
         #: in every row, None when it never fires after 0
@@ -603,20 +742,27 @@ class CodeGenerator:
                         guard[name] = _ALWAYS
                     continue
                 strict = expr.func.pattern is EventPattern.ALL
-                operands = ", ".join(
+                operands = [
                     value[arg] if strict else operand(arg) for arg in args
-                )
-                if error_mode:
-                    call = f"_f_{name}(rep, ts, {operands})"
+                ]
+                if name in inline:
+                    # a template may repeat an operand: each is a name
+                    for k, text in enumerate(operands):
+                        if not text.isidentifier():
+                            operands[k] = f"o_{name}_{k}"
+                            loop.append(f"{operands[k]} = {text}")
+                    call = expr.func.template.format(*operands)
+                elif error_mode:
+                    call = f"_f_{name}(rep, ts, {', '.join(operands)})"
                 else:
-                    call = f"_f_{name}({operands})"
+                    call = f"_f_{name}({', '.join(operands)})"
                 test = when(live, "and" if strict else "or")
                 loop.append(f"{v} = {guarded(test, call)}")
         for name in flat.outputs:
             if guard[name] is None:
                 continue
             test = when([name], "and")
-            emit = [f"emit({name!r}, ts, {value[name]})"]
+            emit = [f"n_out += 1; emit({name!r}, ts, {value[name]})"]
             if error_mode:
                 emit.insert(
                     0,
@@ -646,13 +792,22 @@ class CodeGenerator:
                 arm = "None"
             loop.append(f"if {when((reset, name), 'or')}: self._next_{name} = {arm}")
 
-        # the last-value cells live in locals while the rows run
+        # the last-value cells live in locals while the rows run; the
+        # outputs are counted in a local, written back however the
+        # loop ends (the callback may raise)
         cells = sorted(lasts)
+        emitting = any(guard[name] is not None for name in flat.outputs)
         body = ["rep = self._report"] if error_mode else []
         body.extend(f"last_{name} = self._last_{name}" for name in cells)
         row = ", ".join(["ts"] + [f"v_{name}" for name in flat.inputs])
-        body.append(f"for {row}{',' if not flat.inputs else ''} in rows:")
-        body.extend("    " + line for line in loop or ["pass"])
+        rows_loop = [f"for {row}{',' if not flat.inputs else ''} in rows:"]
+        rows_loop.extend("    " + line for line in loop or ["pass"])
+        if emitting:
+            body.extend(["n_out = 0", "try:"])
+            body.extend("    " + line for line in rows_loop)
+            body.extend(["finally:", "    self._report.events_out += n_out"])
+        else:
+            body.extend(rows_loop)
         body.extend(f"self._last_{name} = last_{name}" for name in cells)
         return "def _calc_rows(self, rows, emit):\n" + "".join(
             f"    {line}\n" for line in body
@@ -671,7 +826,7 @@ class CodeGenerator:
 
 def _base_namespace(error_policy: Optional[ErrorPolicy]) -> Dict[str, Any]:
     """The runtime symbols every generated module refers to."""
-    namespace: Dict[str, Any] = {"_UNIT": UNIT_VALUE}
+    namespace: Dict[str, Any] = {"_UNIT": UNIT_VALUE, **TEMPLATE_GLOBALS}
     if error_policy is not None:
         namespace["_ERR"] = ErrorValue
         namespace["_delay_next"] = delay_next
@@ -691,9 +846,9 @@ def generate_monitor_class(
 
     ``backends`` maps stream names to collection backends; unknown
     streams use *default_backend*.  ``error_policy`` switches on the
-    hardened error-propagating evaluation (``None`` compiles the exact
-    seed code).  ``metrics`` threads a registry into the lift bindings
-    for per-stream copy/in-place counting.
+    hardened error-propagating evaluation (``None`` compiles none of
+    it).  ``metrics`` threads a registry into the lift bindings for
+    per-stream copy/in-place counting; both keep every lift a call.
     """
     generator = CodeGenerator(
         flat,
@@ -835,16 +990,16 @@ def monitor_class_from_recipe(
     """
     namespace = _base_namespace(error_policy)
     try:
+        bare = frozenset(layout["bare"])
         for stream, recipe in lifts.items():
-            func = _recipe_function(recipe)
-            impl = func.bind(backends.get(stream, default_backend))
-            if metrics is not None:
-                from ..obs.metrics import instrument_lift
-
-                impl = instrument_lift(impl, func, stream, metrics)
-            if error_policy is not None:
-                impl = wrap_lift(stream, func.name, impl, error_policy)
-            namespace[f"_f_{stream}"] = impl
+            namespace[f"_f_{stream}"] = _bind_lift(
+                _recipe_function(recipe),
+                stream,
+                backends.get(stream, default_backend),
+                stream in bare,
+                error_policy,
+                metrics,
+            )
         code = _exec_code(namespace, code_blob)
         if code is None:
             return None

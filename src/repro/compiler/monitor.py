@@ -15,6 +15,7 @@ live there) before any later timestamp.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
     Any,
     Callable,
@@ -50,13 +51,16 @@ def freeze(value: Any) -> Any:
     iteration order.  Maps freeze to a ``frozenset`` of ``(key, value)``
     pairs — sorting by key ``repr`` (the previous scheme) is not
     canonical, because two distinct keys may share a ``repr`` and then
-    the tuple order depends on insertion order.
+    the tuple order depends on insertion order.  The bare collections
+    of certified-mutable families freeze like their wrappers: ``set``
+    to a ``frozenset``, ``dict`` to a ``frozenset`` of items, ``deque``
+    and ``list`` to a ``tuple``.
     """
-    if isinstance(value, SetBase):
+    if isinstance(value, (SetBase, set)):
         return frozenset(value)
-    if isinstance(value, MapBase):
+    if isinstance(value, (MapBase, dict)):
         return frozenset(value.items())
-    if isinstance(value, (QueueBase, VectorBase)):
+    if isinstance(value, (QueueBase, VectorBase, deque, list)):
         return tuple(value)
     return value
 
@@ -134,7 +138,13 @@ class MonitorBase:
         cls.INPUT_ATTRS = {name: "_in_" + name for name in cls.INPUTS}
 
     def __init__(self, on_output: Optional[OutputCallback] = None) -> None:
+        from .runtime import RunReport  # runtime imports this module
+
         self._on_output: OutputCallback = on_output or (lambda n, t, v: None)
+        #: The run's counters: the engines' emitters count outputs into
+        #: ``events_out`` themselves (a :class:`MonitorRunner` installs
+        #: its own report here).
+        self._report = RunReport()
         self._pending_ts: Optional[int] = None
         self._done_ts: int = -1
         self._finished = False

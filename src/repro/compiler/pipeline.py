@@ -64,7 +64,7 @@ class CompiledSpec:
     analysis: Optional[MutabilityResult]
     optimized: bool
     #: The hardened-evaluation policy this spec was compiled with
-    #: (``None`` — the default — compiles the seed's exact hot path).
+    #: (``None`` — the default — compiles the unhardened hot path).
     error_policy: Optional[ErrorPolicy] = None
     #: True when mutable backends were swapped for their alias-guarded
     #: twins (the runtime sanitizer of the mutability analysis).
@@ -247,7 +247,7 @@ def build_compiled_spec(
     — lift exceptions become first-class error values, raise with
     context, or suppress the event, per policy, and the monitor carries
     a live :class:`~repro.compiler.runtime.RunReport`.  ``None`` (the
-    default) compiles the seed's exact code with zero overhead.
+    default) compiles the unhardened code with zero overhead.
 
     ``alias_guard=True`` swaps every mutable backend for its guarded
     twin (:mod:`repro.structures.guard`): any access through a stale
@@ -390,9 +390,16 @@ def _compile(
         }
 
     monitor_class: Optional[type] = None
-    if cached is not None and engine == "codegen" and cached.code is not None:
+    if (
+        cached is not None
+        and engine == "codegen"
+        and cached.code is not None
+        and metrics is None
+    ):
         # The entry carries the generated module (.pyc-style): skip
         # source assembly and recompilation, rebind the namespace only.
+        # Metrics compiles generate their own: the cached module
+        # inlines the lifts instrument_lift must count.
         with TRACER.span("compile.codegen"):
             monitor_class = monitor_class_from_code(
                 flat,
@@ -431,6 +438,7 @@ def _compile(
             ),
             engine=engine,
             text_key=text_key,
+            keep_code=metrics is None,
         )
     return CompiledSpec(
         flat=flat,
@@ -502,18 +510,20 @@ def _store_plan(
     mutable: Optional[frozenset],
     engine: str,
     text_key: Optional[str],
+    keep_code: bool = True,
 ) -> None:
     """Persist a compilation: one entry, aliased under *text_key* when
     its generated code can be rebuilt without the flat spec.
 
     A flat-keyed hit stores nothing, unless the text-keyed alias is
-    missing (the same flat spec reached from different text).
+    missing (the same flat spec reached from different text).  Without
+    *keep_code* (a metrics compile) only the plan is stored.
     """
     import marshal
 
     from .codegen import lift_recipe
 
-    code = getattr(monitor_class, "CODE", None)
+    code = getattr(monitor_class, "CODE", None) if keep_code else None
     lifts = lift_recipe(flat) if code is not None else None
     alias = text_key if lifts is not None else None
     if cached is not None and alias is None:
@@ -653,7 +663,7 @@ def build_compiled_spec_from_text(
             engine=engine,
             rewrite=rewrite,
         )
-        cached = plan_cache.load(text_key)
+        cached = plan_cache.load(text_key) if metrics is None else None
         if (
             cached is not None
             and cached.engine == "codegen"

@@ -125,7 +125,7 @@ def plan_fingerprint(
     vector-engine plan into a numpy-less process.
     """
     options = (
-        "opts-v3",
+        "opts-v4",
         bool(optimize),
         backend_override.name if backend_override is not None else None,
         bool(alias_guard),
@@ -164,7 +164,7 @@ def text_fingerprint(
     plan across a toggle.
     """
     options = (
-        "text-opts-v4",
+        "text-opts-v5",
         bool(optimize),
         backend_override.name if backend_override is not None else None,
         bool(alias_guard),

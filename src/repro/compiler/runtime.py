@@ -20,9 +20,9 @@ This module is the runtime half of the compiler's hardening layer:
   from the last valid checkpoint, skip consumed input, reproduce the
   uninterrupted run's outputs exactly).
 
-Monitors compiled *without* an error policy are byte-for-byte the code
-the seed compiler produced — the hardening layer costs nothing unless
-it is switched on.
+Monitors compiled *without* an error policy carry none of the
+hardening — no wrapped lifts, no error-value tests — so the layer costs
+nothing unless it is switched on.
 """
 
 from __future__ import annotations
@@ -331,30 +331,6 @@ def validate_value(value: Any, expected: Optional[ty.Type]) -> bool:
 # -- the hardened event-loop driver ------------------------------------------
 
 
-def _counting_output(
-    report: RunReport, on_output: Optional[Callable[[str, int, Any], None]]
-) -> Callable[[str, int, Any], None]:
-    """The monitor's output callback: count, then forward.
-
-    It holds the report, not the runner: a callback bound to the runner
-    would close a runner → monitor → runner cycle, and every dropped
-    runner (with its monitor's state) would then wait for the cyclic
-    garbage collector instead of being freed at once.
-    """
-    if on_output is None:
-
-        def emit(name: str, ts: int, value: Any) -> None:
-            report.events_out += 1
-
-    else:
-
-        def emit(name: str, ts: int, value: Any) -> None:
-            report.events_out += 1
-            on_output(name, ts, value)
-
-    return emit
-
-
 class MonitorRunner:
     """Drives a compiled monitor with validation, checkpoints, recovery.
 
@@ -393,10 +369,8 @@ class MonitorRunner:
         #: with ``validate_inputs=False`` never force a deferred flat
         #: spec (text-keyed plan-cache hits skip parsing entirely).
         self._types: Optional[Dict[str, ty.Type]] = None
-        self.monitor = compiled.new_monitor(
-            _counting_output(self.report, on_output)
-        )
-        # Unify the generated code's error counters with ours.
+        self.monitor = compiled.new_monitor(on_output)
+        # The monitor counts its outputs and errors into our report.
         self.monitor._report = self.report
         self.report.plan_cache_hit = getattr(
             compiled, "plan_cache_hit", None

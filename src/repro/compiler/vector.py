@@ -136,6 +136,33 @@ def _expr_deps(expr: Any) -> Set[str]:
     return set(free_vars(expr))
 
 
+def lift_kernel(func: Any) -> Optional[kernels.Kernel]:
+    """The columnar kernel of a strict scalar lift, or ``None``.
+
+    A registered builtin has its table entry.  A rewrite-fused lift
+    (``fused[outer@i<-inner]``, see :class:`repro.opt.rewrite.FusedFunction`)
+    gets the composition of its parts' kernels when both have one,
+    recursively; it writes no donated buffer.
+    """
+    if REGISTRY.get(func.name) is func:
+        return kernels.kernel_for(func.name)
+    outer = getattr(func, "outer", None)
+    inner = getattr(func, "inner", None)
+    if outer is None or inner is None:
+        return None
+    outer_kernel, inner_kernel = lift_kernel(outer), lift_kernel(inner)
+    if outer_kernel is None or inner_kernel is None:
+        return None
+    start, stop = func.index, func.index + inner.arity
+    outer_fn, inner_fn = outer_kernel.fn, inner_kernel.fn
+
+    def fused(np: Any, out: Any, *cols: Any) -> Any:
+        middle = inner_fn(np, None, *cols[start:stop])
+        return outer_fn(np, None, *cols[:start], middle, *cols[stop:])
+
+    return kernels.Kernel(func.name, fused, supports_out=False)
+
+
 def _local_reason(flat: FlatSpec, name: str) -> Optional[str]:
     """Ineligibility reason of one stream's own type and operator, or None."""
     stream_type = flat.types.get(name)
@@ -159,11 +186,13 @@ def _local_reason(flat: FlatSpec, name: str) -> Optional[str]:
     ):
         return None
     if REGISTRY.get(func.name) is not func:
-        # pointwise()/fused lifts: arbitrary Python, no kernel table entry.
-        return f"ad-hoc lift {func.name!r} has no vector kernel"
-    if func.name in ("filter", "at"):
+        # pointwise() lifts: arbitrary Python, no kernel table entry;
+        # rewrite-fused lifts compose their parts' kernels.
+        if lift_kernel(func) is None:
+            return f"ad-hoc lift {func.name!r} has no vector kernel"
+    elif func.name in ("filter", "at"):
         return None
-    if kernels.kernel_for(func.name) is None:
+    elif kernels.kernel_for(func.name) is None:
         return f"no vector kernel for lift {func.name!r}"
     if stream_type == ty.UNIT:
         return f"unit-typed result of lift {func.name!r}"
@@ -572,7 +601,7 @@ def build_vector_program(
                 trigger = vslot_of[expr.args[0].name]
                 steps.append([VOP_CONST, dst, trigger, value, dtn])
             else:
-                kernel = kernels.kernel_for(func.name)
+                kernel = lift_kernel(func)
                 assert kernel is not None, func.name
                 arg_vslots = tuple(vslot_of[arg.name] for arg in expr.args)
                 steps.append(
@@ -683,10 +712,15 @@ class VectorMonitorBase(MonitorBase):
             elif ts == 0:  # OP_UNIT
                 values[dst] = UNIT_VALUE
         emit = self._on_output
-        for name, slot in prog.outputs:
-            value = values[slot]
-            if value is not None:
-                emit(name, ts, value)
+        n_out = 0
+        try:
+            for name, slot in prog.outputs:
+                value = values[slot]
+                if value is not None:
+                    n_out += 1
+                    emit(name, ts, value)
+        finally:
+            self._report.events_out += n_out
         for slot, cell in prog.last_stores:
             value = values[slot]
             if value is not None:
@@ -935,9 +969,7 @@ class VectorMonitorBase(MonitorBase):
         if self._finished:
             return super().feed_columns(timestamps, columns)
         np = self.NP
-        ts_arr = np.asarray(timestamps)
-        if ts_arr.dtype != np.int64:
-            ts_arr = ts_arr.astype(np.int64)
+        ts_arr = np.asarray(timestamps, dtype=np.int64)
         total = int(ts_arr.shape[0])
         input_attrs = type(self).INPUT_ATTRS
         for name, column in columns.items():
@@ -955,7 +987,7 @@ class VectorMonitorBase(MonitorBase):
             if (
                 not hasattr(column, "dtype")
                 or getattr(column.dtype, "kind", "O") == "O"
-            ) and any(value is None for value in column):
+            ) and None in column:
                 raise MonitorError(
                     "None is the no-event value; not a valid payload"
                 )
@@ -1011,10 +1043,11 @@ class VectorMonitorBase(MonitorBase):
             else:
                 masks[vslot] = np.ones(sliced, dtype=bool)
                 if dtype_name != "unit":
-                    arr = np.asarray(column)
-                    target = kernels.resolve_dtype(np, dtype_name)
-                    if arr.dtype != target:
-                        arr = arr.astype(target)
+                    # converted straight to the column dtype: a list is
+                    # read once, an array of that dtype is a view
+                    arr = np.asarray(
+                        column, dtype=kernels.resolve_dtype(np, dtype_name)
+                    )
                     cols[vslot] = arr[:sliced]
         if self._done_ts < 0 and first_ts > 0:
             self._run_calc(0)
@@ -1314,14 +1347,19 @@ class VectorMonitorBase(MonitorBase):
             for name, vslot, is_unit in sched
         ]
         emit = self._on_output
-        for position, ts in enumerate(ts_arr[rows].tolist()):
-            for name, fired, values in outputs:
-                if fired[position]:
-                    emit(
-                        name,
-                        ts,
-                        UNIT_VALUE if values is None else values[position],
-                    )
+        n_out = 0
+        try:
+            for position, ts in enumerate(ts_arr[rows].tolist()):
+                for name, fired, values in outputs:
+                    if fired[position]:
+                        n_out += 1
+                        emit(
+                            name,
+                            ts,
+                            UNIT_VALUE if values is None else values[position],
+                        )
+        finally:
+            self._report.events_out += n_out
 
     def _store_last_columns(
         self, np: Any, cols: List[Any], masks: List[Any]

@@ -13,7 +13,10 @@ Every ``lift`` carries a :class:`LiftedFunction`, which bundles
   Reads, Passes-through or does not touch the argument's value.  This
   feeds the edge classification of the usage graph (paper §IV-A,
   Def. 3);
-* a polymorphic type **signature** for type checking/inference.
+* a polymorphic type **signature** for type checking/inference;
+* for registered builtins, a Python expression **template** over bare
+  ``set``/``dict``/``deque``/``list`` values, which the code generator
+  inlines for certified-mutable families.
 
 Data-structure constructors additionally take the collection *backend*
 (mutable vs. persistent) at bind time — the single point where the
@@ -26,6 +29,7 @@ encodes ⊥ (no event) in implementations and in generated monitors.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..structures import Backend, empty_map, empty_queue, empty_set, empty_vector
@@ -45,6 +49,11 @@ from .types import (
     TypeVar,
     VectorType,
 )
+
+
+#: Names the :attr:`LiftedFunction.template` expressions use beyond
+#: Python's builtins; every namespace a template runs in includes them.
+TEMPLATE_GLOBALS: Dict[str, Any] = {"_deque": deque}
 
 
 class EventPattern(enum.Enum):
@@ -103,11 +112,11 @@ class LiftedFunction:
         "result_type",
         "make_impl",
         "custom_trigger",
-        "scala_template",
-        "scala_option_template",
+        "template",
         "metric_name",
         "constant",
         "_type_vars",
+        "_bare",
     )
 
     def __init__(
@@ -119,8 +128,6 @@ class LiftedFunction:
         result_type: Type,
         make_impl: Callable[[Backend], Callable[..., Any]],
         custom_trigger: TriggerSpec = None,
-        scala_template: Optional[str] = None,
-        scala_option_template: Optional[str] = None,
         metric_name: Optional[str] = None,
     ) -> None:
         if len(access) != len(arg_types):
@@ -132,11 +139,12 @@ class LiftedFunction:
         self.result_type = result_type
         self.make_impl = make_impl
         self.custom_trigger = custom_trigger
-        #: Optional Scala expression template for the Scala backend
-        #: ({0}, {1}, ... are unwrapped argument values).
-        self.scala_template = scala_template
-        #: Template over Option values, for non-strict functions.
-        self.scala_option_template = scala_option_template
+        #: Python expression of the function over *bare* collections
+        #: (``set``/``dict``/``deque``/``list``, see
+        #: :func:`bare_impl`): ``{0}``, ``{1}``, ... stand for the
+        #: arguments, each a plain name, and may repeat.  Registered
+        #: builtins have one (``_TEMPLATES``); ad-hoc lifts do not.
+        self.template: Optional[str] = None
         #: Optional counter name bumped per invocation when the monitor
         #: runs instrumented (see :func:`repro.obs.metrics.instrument_lift`).
         self.metric_name = metric_name
@@ -144,6 +152,7 @@ class LiftedFunction:
         #: :func:`const_fn`, else ``None``.
         self.constant: Optional[Tuple[Any, Type]] = None
         self._type_vars: Optional[Tuple[TypeVar, ...]] = None
+        self._bare: Optional[Callable[..., Any]] = None
 
     @property
     def trigger(self) -> TriggerSpec:
@@ -161,6 +170,20 @@ class LiftedFunction:
     def bind(self, backend: Backend) -> Callable[..., Any]:
         """Return the runtime callable for the given collection backend."""
         return self.make_impl(backend)
+
+    def bare_impl(self) -> Callable[..., Any]:
+        """The :attr:`template` as a callable over bare collections.
+
+        Built once per function and process, so compiles that bind it
+        (timestamp 0, error policies, metrics) pay no ``eval``.
+        """
+        if self._bare is None:
+            params = [f"a{k}" for k in range(self.arity)]
+            self._bare = eval(
+                f"lambda {', '.join(params)}: {self.template.format(*params)}",
+                dict(TEMPLATE_GLOBALS),
+            )
+        return self._bare
 
     def instantiate(self, suffix: str) -> Tuple[Tuple[Type, ...], Type]:
         """Return (argument types, result type) with fresh type variables."""
@@ -699,6 +722,90 @@ FUSIONS: Dict[Tuple[str, str], LiftedFunction] = {
     ("map_put", "map_get_or"): MAP_GET_OR_AFTER_PUT,
     ("queue_enq", "queue_size"): QUEUE_SIZE_AFTER_ENQ,
 }
+
+# ---------------------------------------------------------------------------
+# Python templates over bare collections
+# ---------------------------------------------------------------------------
+#
+# What each builtin does to a bare ``set``/``dict``/``deque``/``list``
+# (the representation of certified-mutable families, see
+# :mod:`repro.compiler.codegen`), as an expression the code generator
+# inlines.  Writes update in place and evaluate to the collection, like
+# the mutable wrappers' methods.  The non-strict functions receive
+# ``None`` for absent arguments, as their implementations do.
+
+_TEMPLATES: Dict[str, str] = {
+    "add": "({0} + {1})",
+    "sub": "({0} - {1})",
+    "mul": "({0} * {1})",
+    "div": "({0} // {1})",
+    "mod": "({0} % {1})",
+    "neg": "(-{0})",
+    "abs": "abs({0})",
+    "fadd": "({0} + {1})",
+    "fsub": "({0} - {1})",
+    "fmul": "({0} * {1})",
+    "fdiv": "({0} / {1})",
+    "fabs": "abs({0})",
+    "to_float": "float({0})",
+    "round": "round({0})",
+    "eq": "({0} == {1})",
+    "neq": "({0} != {1})",
+    "lt": "({0} < {1})",
+    "leq": "({0} <= {1})",
+    "gt": "({0} > {1})",
+    "geq": "({0} >= {1})",
+    "and": "({0} and {1})",
+    "or": "({0} or {1})",
+    "not": "(not {0})",
+    "ite": "({1} if {0} else {2})",
+    "min": "({0} if {0} <= {1} else {1})",
+    "max": "({0} if {0} >= {1} else {1})",
+    "str_concat": "({0} + {1})",
+    "to_str": "str({0})",
+    "merge": "({0} if {0} is not None else {1})",
+    "filter": "({0} if {0} is not None and {1} is not None and {1} else None)",
+    "at": "({0} if {0} is not None and {1} is not None else None)",
+    "set_empty": "set()",
+    "map_empty": "dict()",
+    "queue_empty": "_deque()",
+    "vec_empty": "list()",
+    "set_add": "({0}.add({1}) or {0})",
+    "set_remove": "({0}.discard({1}) or {0})",
+    "set_toggle": "(({0}.discard({1}) if {1} in {0} else {0}.add({1})) or {0})",
+    "set_contains": "({1} in {0})",
+    "set_size": "len({0})",
+    "map_put": "({0}.__setitem__({1}, {2}) or {0})",
+    "map_remove": "({0}.pop({1}, None), {0})[1]",
+    "map_get_or": "{0}.get({1}, {2})",
+    "map_contains": "({1} in {0})",
+    "map_size": "len({0})",
+    "queue_enq": "({0}.append({1}) or {0})",
+    "queue_deq": "(({0}.popleft(), {0})[1] if {0} else {0})",
+    "queue_front_or": "({0}[0] if {0} else {1})",
+    "queue_size": "len({0})",
+    "vec_append": "({0}.append({1}) or {0})",
+    "vec_set": "(({0}.__setitem__({1}, {2}) or {0}) if 0 <= {1} < len({0}) else {0})",
+    "vec_get_or": "({0}[{1}] if 0 <= {1} < len({0}) else {2})",
+    "vec_size": "len({0})",
+    "queue_deq_if": "(({0}.popleft(), {0})[1] if {1} and {0} else {0})",
+    "set_add_if": "(({0}.add({1}) or {0}) if {2} else {0})",
+    "map_put_if": (
+        "(None if {0} is None else {0} if {1} is None or {2} is None"
+        " else ({0}.__setitem__({1}, {2}) or {0}))"
+    ),
+    "set_update_if": (
+        "(None if {0} is None else ({0}.add({1}) if {1} is not None else None,"
+        " {0}.discard({2}) if {2} is not None else None, {0})[2])"
+    ),
+    "set_size_after_add": "(len({0}) + (0 if {1} in {0} else 1))",
+    "set_contains_after_add": "({2} == {1} or {2} in {0})",
+    "map_get_or_after_put": "({2} if {3} == {1} else {0}.get({3}, {4}))",
+    "queue_size_after_enq": "(len({0}) + 1)",
+}
+for _name, _template in _TEMPLATES.items():
+    REGISTRY[_name].template = _template
+del _name, _template
 
 # TIME is currently interchangeable with INT in signatures; expose an
 # explicit alias so specs reading timestamps type-check descriptively.

@@ -22,7 +22,6 @@ from .types import INT
 
 #: Shared pointwise helpers (module-level so CSE can share their lifts).
 _INC = pointwise("inc", lambda x: x + 1, (INT,), INT)
-_INC.scala_template = "({0} + 1L)"
 
 
 def counting(self_name: str, trigger: Expr) -> Expr:

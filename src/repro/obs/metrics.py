@@ -18,10 +18,10 @@ A lift that writes a structure argument (first ``Access.WRITE`` slot in
 its access tuple) is wrapped by :func:`instrument_lift`.  After the
 call:
 
-- if the written argument's class advertises ``IN_PLACE = True``
-  (mutable and guarded backends), the update counts as in-place —
-  *regardless of result identity*, because guarded backends return a
-  fresh generation handle over shared storage;
+- if the written stream's backend updates in place (mutable, bare and
+  guarded; the code generator passes the decision it made), the update
+  counts as in-place — *regardless of result identity*, because guarded
+  backends return a fresh generation handle over shared storage;
 - otherwise, if the result is a different object than the argument, a
   structural copy was performed (persistent backends copy O(log n)
   spine nodes, copying backends copy everything — both count once);
@@ -282,8 +282,11 @@ def instrument_lift(
     func: Any,
     stream: str,
     registry: MetricsRegistry,
+    in_place: bool,
 ) -> Callable[..., Any]:
     """Wrap a bound lift with copy/in-place counting for *stream*.
+
+    *in_place* is whether the stream's backend updates in place.
 
     *func* is the :class:`~repro.lang.builtins.LiftedFunction` the impl
     was bound from; lifts without a WRITE access slot (scalar lifts,
@@ -314,7 +317,7 @@ def instrument_lift(
         if stats is not None:
             target = args[write_index]
             if target is not None and result is not None:
-                if getattr(target, "IN_PLACE", False):
+                if in_place:
                     stats.inplace_updates += 1
                 elif result is not target:
                     stats.copies_performed += 1

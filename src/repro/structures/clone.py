@@ -1,15 +1,17 @@
 """Structure cloning for monitor checkpoints.
 
 Persistent and copying collections are immutable — sharing them is
-safe.  Mutable collections must be duplicated, otherwise a checkpoint
-would alias live monitor state and be corrupted by subsequent in-place
-updates.  Guarded collections (the alias-guard sanitizer) are cloned
-into a fresh structure with its own generation cell, so restoring a
-checkpoint never resurrects stale handles.
+safe.  Mutable collections (the wrappers and the bare ``set``/``dict``/
+``deque``/``list`` of certified-mutable families) must be duplicated,
+otherwise a checkpoint would alias live monitor state and be corrupted
+by subsequent in-place updates.  Guarded collections (the alias-guard
+sanitizer) are cloned into a fresh structure with its own generation
+cell, so restoring a checkpoint never resurrects stale handles.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from .guard import GuardedMap, GuardedQueue, GuardedSet, GuardedVector
@@ -20,12 +22,18 @@ def clone_value(value: Any) -> Any:
     """A snapshot-safe copy of a stream value.
 
     Mutable aggregates are duplicated (shallowly — element values are
-    scalars by the type system's no-nesting rule); lists (the plan
-    engine's slot state) are cloned element-wise; everything else is
-    returned as-is.
+    scalars by the type system's no-nesting rule); lists (bare vectors,
+    and the vector engine's ``last`` cells) are cloned element-wise;
+    everything else is returned as-is.
     """
     if isinstance(value, list):
         return [clone_value(v) for v in value]
+    if isinstance(value, set):
+        return set(value)
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, deque):
+        return deque(value)
     if isinstance(value, MutableSet):
         return MutableSet(value)
     if isinstance(value, MutableMap):

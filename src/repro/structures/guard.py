@@ -59,10 +59,6 @@ class _Cell:
 class _GuardedBase:
     """Handle onto shared storage, valid for exactly one generation."""
 
-    # Guarded updates mutate shared storage even though each update hands
-    # back a *new* handle object; the observability layer must therefore
-    # classify them by this flag, never by result identity.
-    IN_PLACE = True
     __slots__ = ("_items", "_cell", "_gen")
 
     def __init__(self, items: Any, cell: _Cell, gen: int) -> None:

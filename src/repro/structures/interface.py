@@ -5,29 +5,28 @@ whether a stream variable was placed in the mutability set; what differs
 is only the data-structure implementation behind the variable (§IV, §V).
 We mirror that with a uniform protocol: every update method returns "the
 updated collection" — a **new** object for the persistent variants, and
-``self`` (destructively updated) for the mutable variants.  Generated
-code therefore always reads ``y = setAdd(y_last, i)`` and the
-mutable/persistent decision is made once, at the construction site
-(``set_empty`` etc.), driven by the analysis.
+``self`` (destructively updated) for the mutable variants.  A call
+``y = setAdd(y_last, i)`` therefore works on every backend, with the
+mutable/persistent decision made once, at the construction site
+(``set_empty`` etc.), driven by the analysis.  (Certified families that
+the code generator holds bare skip the protocol altogether.)
 
 Equality is *value* equality across variants, so differential tests can
 compare the outputs of optimized and non-optimized monitors directly.
+It extends to the bare builtin collections that optimized monitors keep
+their certified-mutable families in (``set``/``frozenset``, ``dict``,
+``deque``, ``list``; see :mod:`repro.compiler.codegen`), so a lifted
+``eq`` between a bare stream and a persistent one compares contents.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterator
 
 
 class SetBase:
     """Protocol shared by :class:`PersistentSet` and :class:`MutableSet`."""
-
-    #: True on backends whose updates land in shared storage (mutable and
-    #: guarded variants).  The observability layer classifies an update as
-    #: in-place or a structural copy by this attribute rather than result
-    #: identity, because guarded backends return a fresh generation handle
-    #: even though the storage was updated destructively.
-    IN_PLACE = False
 
     def add(self, item: Any) -> "SetBase":
         raise NotImplementedError
@@ -45,7 +44,7 @@ class SetBase:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetBase):
+        if not isinstance(other, (SetBase, set, frozenset)):
             return NotImplemented
         if len(self) != len(other):
             return False
@@ -61,9 +60,6 @@ class SetBase:
 
 class MapBase:
     """Protocol shared by :class:`PersistentMap` and :class:`MutableMap`."""
-
-    #: See :attr:`SetBase.IN_PLACE`.
-    IN_PLACE = False
 
     def put(self, key: Any, value: Any) -> "MapBase":
         raise NotImplementedError
@@ -92,7 +88,7 @@ class MapBase:
             yield value
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MapBase):
+        if not isinstance(other, (MapBase, dict)):
             return NotImplemented
         if len(self) != len(other):
             return False
@@ -114,9 +110,6 @@ class QueueBase:
     ``dequeue`` removes at the front.
     """
 
-    #: See :attr:`SetBase.IN_PLACE`.
-    IN_PLACE = False
-
     def enqueue(self, item: Any) -> "QueueBase":
         raise NotImplementedError
 
@@ -134,7 +127,7 @@ class QueueBase:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QueueBase):
+        if not isinstance(other, (QueueBase, deque)):
             return NotImplemented
         if len(self) != len(other):
             return False
@@ -155,9 +148,6 @@ class VectorBase:
     positional reads.
     """
 
-    #: See :attr:`SetBase.IN_PLACE`.
-    IN_PLACE = False
-
     def append(self, item: Any) -> "VectorBase":
         raise NotImplementedError
 
@@ -174,7 +164,7 @@ class VectorBase:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorBase):
+        if not isinstance(other, (VectorBase, list)):
             return NotImplemented
         if len(self) != len(other):
             return False

@@ -1,11 +1,17 @@
-"""Mutable counterparts used for variables in the mutability set.
+"""Mutable wrappers for in-place families the code generator cannot
+hold bare.
 
-These wrap Python's built-in ``set``/``dict``/``collections.deque``/
-``list`` (which play the role of Scala's ``mutable`` collections in the
-paper's optimized monitors) behind the same ADT surface as the
-persistent variants: every update method performs the change **in place**
-and returns ``self``, so generated monitor code is oblivious to the
-mutable/persistent decision.
+Optimized monitors keep a certified-mutable family as Python's own
+``set``/``dict``/``collections.deque``/``list`` (the role Scala's
+``mutable`` collections play in the paper) and inline each builtin's
+template over it (see :mod:`repro.compiler.codegen`).  These classes
+wrap the same builtins behind the ADT surface of the persistent
+variants — every update method performs the change **in place** and
+returns ``self`` — for the mutable families that must speak that
+protocol: one touched by an ad-hoc lift written against it (a
+``pointwise`` function, a window lift), and every collection built
+through :func:`repro.structures.factories.make_set` and its siblings
+(benchmark replays, tests).
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .interface import (
 class MutableSet(SetBase):
     """Destructively-updated set; ``add``/``remove`` return ``self``."""
 
-    IN_PLACE = True
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[Any] = ()) -> None:
@@ -52,7 +57,6 @@ class MutableSet(SetBase):
 class MutableMap(MapBase):
     """Destructively-updated map; ``put``/``remove`` return ``self``."""
 
-    IN_PLACE = True
     __slots__ = ("_items",)
 
     def __init__(self, pairs: Iterable[Tuple[Any, Any]] = ()) -> None:
@@ -85,7 +89,6 @@ class MutableMap(MapBase):
 class MutableQueue(QueueBase):
     """Destructively-updated FIFO queue backed by ``collections.deque``."""
 
-    IN_PLACE = True
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[Any] = ()) -> None:
@@ -116,7 +119,6 @@ class MutableQueue(QueueBase):
 class MutableVector(VectorBase):
     """Destructively-updated indexed sequence backed by ``list``."""
 
-    IN_PLACE = True
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[Any] = ()) -> None:

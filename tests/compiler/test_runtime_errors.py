@@ -318,9 +318,12 @@ class TestZeroOverheadWhenDisabled:
         spec = parse_spec(CHAIN_SPEC)
         plain = build_compiled_spec(spec).source
         assert "rep" not in plain.split("def _calc_rows")[1].splitlines()[0]
-        assert "_report" not in plain
+        # the report is read only to count outputs: no error machinery
+        for hardening in ("_ERR", "_delay_next", "error_outputs", "(rep, ts"):
+            assert hardening not in plain
         hardened = build_compiled_spec(spec, error_policy="propagate").source
         assert "rep = self._report" in hardened
+        assert "(rep, ts" in hardened
         assert plain != hardened
 
     def test_policy_coercion(self):

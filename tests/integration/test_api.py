@@ -150,6 +150,7 @@ class TestRemovedSurface:
             ("repro.compiler", "make_plan_class"),
             ("repro.compiler", "build_plan"),
             ("repro.compiler", "ExecutionPlan"),
+            ("repro.compiler", "generate_scala_source"),
             ("repro.compiler.runtime", "HardenedRunner"),
             ("repro.lang.prune", "prune"),
             ("repro.parallel", "PartitionedRunner"),
@@ -212,6 +213,22 @@ class TestRemovedSurface:
             main(["run", str(spec), "--trace", "t.csv", "--engine", "plan"])
         assert exc.value.code == 2
         assert "invalid choice: 'plan'" in capsys.readouterr().err
+
+    def test_scala_emitter_removed(self, tmp_path, capsys):
+        import importlib.util
+
+        from repro.cli import main
+        from repro.lang.builtins import LiftedFunction
+
+        assert importlib.util.find_spec("repro.compiler.scala_backend") is None
+        assert "scala_template" not in LiftedFunction.__slots__
+        assert "scala_option_template" not in LiftedFunction.__slots__
+        spec = tmp_path / "s.tessla"
+        spec.write_text("in i: Int\ndef d := add(i, i)\nout d\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["emit-scala", str(spec)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'emit-scala'" in capsys.readouterr().err
 
     def test_generic_batch_loop_removed(self):
         from repro.compiler.monitor import MonitorBase

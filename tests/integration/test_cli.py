@@ -82,7 +82,7 @@ class TestErrors:
         assert "expected" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", ["analyze", "lint", "dot", "emit-scala", "optimize"]
+        "command", ["analyze", "lint", "dot", "optimize"]
     )
     def test_engine_flag_rejected_on_engineless_command(
         self, spec_file, command, capsys

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from repro.compiler import build_compiled_spec, freeze
 from repro.compiler.runtime import MonitorRunner
 from repro.lang import check_types, flatten
+from repro.obs.metrics import MetricsRegistry
 from repro.semantics import Stream, interpret
 from repro.speclib import (
     db_access_constraint,
@@ -46,6 +47,40 @@ def compiled_outputs(spec, inputs, end_time=None, **kwargs):
     compiled = build_compiled_spec(spec, **kwargs)
     results = compiled.run_traces(inputs, end_time=end_time)
     return {name: stream.events for name, stream in results.items()}
+
+
+def sorted_events(inputs):
+    return sorted(
+        ((ts, name, value) for name, trace in inputs.items()
+         for ts, value in trace),
+        key=lambda event: event[0],
+    )
+
+
+def runner_outputs(compiled, events, mode):
+    """Frozen outputs of a :class:`MonitorRunner` fed by ``push`` or
+    ``feed_batch``; its ``events_out`` must count every callback."""
+    collected = {name: [] for name in compiled.monitor_class.OUTPUTS}
+    runner = MonitorRunner(
+        compiled, lambda n, t, v: collected[n].append((t, freeze(v)))
+    )
+    if mode == "push":
+        for ts, name, value in events:
+            runner.push(name, ts, value)
+    else:
+        runner.feed_batch(events)
+    report = runner.finish()
+    assert report.events_out == sum(map(len, collected.values()))
+    return collected
+
+
+#: The default compile (templates inlined over bare collections), its
+#: metrics twin and its alias-guarded twin (both keep the lift calls).
+DEFAULT_COMPILES = (
+    ("default", lambda: {}),
+    ("metrics", lambda: {"metrics": MetricsRegistry()}),
+    ("alias_guard", lambda: {"alias_guard": True}),
+)
 
 
 def assert_all_agree(spec_factory, inputs, end_time=None):
@@ -168,6 +203,12 @@ class TestRandomSpecs:
         assert optimized == reference
         assert persistent == reference
         assert copying == reference
+        events = sorted_events(inputs)
+        for label, options in DEFAULT_COMPILES:
+            compiled = build_compiled_spec(spec, **options())
+            for mode in ("push", "feed_batch"):
+                got = runner_outputs(compiled, events, mode)
+                assert got == reference, (label, mode)
 
     @settings(
         max_examples=40,
@@ -219,26 +260,16 @@ class TestRandomSpecs:
 
         inputs = data.draw(traces(list(spec.inputs)))
         reference = reference_outputs(spec, inputs)
-        events = sorted(
-            ((ts, name, value) for name, trace in inputs.items()
-             for ts, value in trace),
-            key=lambda event: event[0],
-        )
-        for mode in ("push", "feed_batch"):
-            collected = {name: [] for name in flat.outputs}
-            runner = MonitorRunner(
-                compiled,
-                lambda n, t, v: collected[n].append((t, freeze(v))),
+        events = sorted_events(inputs)
+        for label, options in DEFAULT_COMPILES:
+            variant = (
+                compiled
+                if label == "default"
+                else build_compiled_spec(spec, **options())
             )
-            if mode == "push":
-                for ts, name, value in events:
-                    runner.push(name, ts, value)
-            else:
-                runner.feed_batch(events)
-            runner.finish()
-            assert collected == reference, mode
-        guarded = compiled_outputs(spec, inputs, alias_guard=True)
-        assert guarded == reference
+            for mode in ("push", "feed_batch"):
+                got = runner_outputs(variant, events, mode)
+                assert got == reference, (label, mode)
 
 
 class TestExtensionSpecs:

@@ -185,6 +185,43 @@ def test_eligible_workload_runs_the_vector_engine(name):
     assert monitor.engine_resolved == "vector"
 
 
+@pytest.mark.parametrize("engine", ["vector", "auto"])
+def test_rewrite_fused_scalar_chain_stays_on_vector(engine):
+    """OPT003 fuses ``mul`` into ``add``; the fused lift composes the two
+    kernels, so the wholly eligible spec keeps the vector engine."""
+    factory, inputs = WORKLOADS["denorm_scalar_chain"]
+    monitor = api.compile(
+        factory(), api.CompileOptions(engine=engine, rewrite=True)
+    )
+    assert monitor.engine_resolved == "vector"
+    assert any(
+        "fused[" in str(expr)
+        for expr in monitor.compiled.flat.definitions.values()
+    )
+    assert not [d for d in monitor.diagnostics() if d.code == "VEC001"]
+    reference = reference_outputs(factory(), inputs)
+    for batch_size in (None, 1, 16, 4096):
+        got = vector_outputs(
+            factory(), inputs, rewrite=True, batch_size=batch_size
+        )
+        assert got == reference, batch_size
+    ts = list(range(1, 61))
+    values = [(t * 7) % 20 for t in ts]
+    collected = {}
+    monitor.feed_columns(
+        ts,
+        {"x": values},
+        on_output=lambda n, t, v: collected.setdefault(n, []).append(
+            (t, freeze(v))
+        ),
+    )
+    for name in monitor.outputs:
+        collected.setdefault(name, [])
+    assert collected == reference_outputs(
+        factory(), {"x": list(zip(ts, values))}
+    )
+
+
 @pytest.mark.parametrize("rewrite", [False, True], ids=["plain", "rewrite"])
 @pytest.mark.parametrize("name", sorted(scenarios(200)))
 class TestTable1:

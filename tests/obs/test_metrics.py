@@ -129,56 +129,46 @@ class TestSnapshotAlgebra:
         assert b["counters"]["x"] == 2
 
 
-class _FakeInPlace:
-    IN_PLACE = True
-
-
-class _FakePersistent:
-    IN_PLACE = False
-
-
 class TestInstrumentLift:
     """Classification rules, isolated from any compiled monitor."""
 
-    def _wrap(self, impl, registry, name="set_add", stream="y"):
-        return instrument_lift(impl, builtin(name), stream, registry)
+    def _wrap(self, impl, registry, name="set_add", stream="y", in_place=False):
+        return instrument_lift(impl, builtin(name), stream, registry, in_place)
 
-    def test_in_place_counted_by_class_flag_not_identity(self):
+    def test_in_place_counted_by_backend_not_identity(self):
         # Guarded backends mutate shared storage but return a NEW
         # handle object: identity comparison would misclassify them.
         reg = MetricsRegistry()
-        wrapped = self._wrap(lambda s, v: _FakeInPlace(), reg)
-        wrapped(_FakeInPlace(), 1)
+        wrapped = self._wrap(lambda s, v: object(), reg, in_place=True)
+        wrapped(object(), 1)
         stats = reg.snapshot()["streams"]["y"]
         assert stats == {"copies_performed": 0, "inplace_updates": 1}
 
     def test_copy_counted_when_result_is_new_object(self):
         reg = MetricsRegistry()
-        wrapped = self._wrap(lambda s, v: _FakePersistent(), reg)
-        wrapped(_FakePersistent(), 1)
+        wrapped = self._wrap(lambda s, v: object(), reg)
+        wrapped(object(), 1)
         stats = reg.snapshot()["streams"]["y"]
         assert stats == {"copies_performed": 1, "inplace_updates": 0}
 
     def test_persistent_noop_counts_as_neither(self):
         reg = MetricsRegistry()
-        target = _FakePersistent()
         wrapped = self._wrap(lambda s, v: s, reg)
-        wrapped(target, 1)
+        wrapped(object(), 1)
         stats = reg.snapshot()["streams"]["y"]
         assert stats == {"copies_performed": 0, "inplace_updates": 0}
 
     def test_lift_without_write_access_returned_unwrapped(self):
         reg = MetricsRegistry()
         impl = lambda s, v: True  # noqa: E731
-        assert (
-            instrument_lift(impl, builtin("set_contains"), "y", reg) is impl
-        )
+        wrapped = instrument_lift(impl, builtin("set_contains"), "y", reg, False)
+        assert wrapped is impl
 
     def test_wrapped_result_passes_through(self):
         reg = MetricsRegistry()
-        sentinel = _FakeInPlace()
-        wrapped = self._wrap(lambda s, v: sentinel, reg)
-        assert wrapped(_FakeInPlace(), 1) is sentinel
+        sentinel = object()
+        wrapped = self._wrap(lambda s, v: sentinel, reg, in_place=True)
+        assert wrapped(set(), 1) is sentinel
 
     def test_stream_cell_eagerly_registered(self):
         # Streams that never fire still show up (as 0/0) in profile

@@ -143,8 +143,8 @@ class TestSharedCacheNeverStale:
         )
         assert warm_plain.plan_cache_hit is True
         assert warm_rewritten.plan_cache_hit is True
-        assert "_f_s(v_yl, v_i, v_i)" in warm_plain.source
-        assert "_f_s(v_y, v_i)" in warm_rewritten.source
+        assert "v_s = (v_i == v_i or v_i in v_yl)" in warm_plain.source
+        assert "v_s = (v_i in v_y)" in warm_rewritten.source
         assert_plain_fused(warm_plain.flat)
         assert_rewritten(warm_rewritten.flat)
         for compiled in (warm_plain, warm_rewritten):
