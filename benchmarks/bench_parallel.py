@@ -9,23 +9,20 @@ Two sections, one artifact:
   on the fault-free path; ``jobs=1`` is the in-process sequential
   loop).
 * ``transport`` — the same pool on a vector-eligible spec over dense
-  >= 50k-event traces, ``pipe`` vs ``shm`` trace transports side by
-  side.  The shm transport packs each trace once into a shared-memory
-  arena and ships only a descriptor per dispatch; the pipe transport
-  pickles the full event list per dispatch.
+  >= 50k-event traces, where the trace data path dominates: each task
+  message carries the trace as numpy columns over the worker pipe.
 
 Compilation happens once per worker against a warm on-disk plan cache
-and is excluded from the timed region.  Every (jobs, transport) cell
+and is excluded from the timed region.  Every (section, jobs) cell
 gets a **full warm-up round** — the complete workload
 runs once untimed before the clock starts — so fork cost, page-cache
 state and allocator warm-up never pollute the curves.
 
 Each section's cells carry their own provenance stamp
-(``pool_backend``, resolved ``transport``, ``payload_bytes`` moved per
-data path, supervision ``retries`` observed during the timed runs) so
-a chaos or degraded-transport artifact can never be mistaken for a
-clean one; this bench runs fault-free, so ``retries`` is expected to
-be 0.
+(``pool_backend``, resolved ``transport``, pickled ``payload_bytes``,
+supervision ``retries`` observed during the timed runs) so a chaos
+artifact can never be mistaken for a clean one; this bench runs
+fault-free, so ``retries`` is expected to be 0.
 
 Usage::
 
@@ -36,9 +33,7 @@ CPUs* — when any of these fail:
 
 * the pool's 4-worker speedup over 1 worker falls below the scaling
   threshold (default 2.5x),
-* shm throughput at 4 workers falls below ``--transport-threshold``
-  (default 2.0x) times pipe throughput on the transport workload,
-* the shm transport's own 4-vs-1 scaling is not > 1.0.
+* the transport workload's 4-vs-1 scaling is not > 1.0.
 
 On smaller machines (the curves cannot physically materialize there)
 the artifact records the measurements with ``threshold_enforced:
@@ -55,11 +50,7 @@ import time
 
 from repro import api
 from repro.bench.meta import bench_metadata
-from repro.obs.metrics import (
-    DEFAULT_REGISTRY,
-    POOL_BYTES_PICKLED,
-    POOL_BYTES_SHARED,
-)
+from repro.obs.metrics import DEFAULT_REGISTRY, POOL_BYTES_PICKLED
 from repro.parallel import MonitorPool
 from repro.workloads import seen_set_trace
 
@@ -76,8 +67,8 @@ out s
 """
 
 # The transport workload: vector-eligible, so per-event compute is
-# cheap and the trace data path (pickle-per-dispatch vs shared arena)
-# dominates the wall clock — the quantity this section isolates.
+# cheap and the trace data path (the pickled task message) dominates
+# the wall clock — the quantity this section isolates.
 VECTOR_TEXT = """\
 in i: Int
 
@@ -97,7 +88,6 @@ THRESHOLD = 2.5
 TRANSPORT_TRACES = 8
 TRANSPORT_EVENTS_PER_TRACE = 50_000
 TRANSPORT_REPEATS = 2
-TRANSPORT_THRESHOLD = 2.0
 
 
 def _seen_set_traces():
@@ -111,8 +101,8 @@ def _seen_set_traces():
 
 
 def _vector_traces():
-    # Dense single-stream int traces: shm packs them columnar and the
-    # worker feeds the mapped columns zero-copy.
+    # Dense single-stream int traces: each task message carries them
+    # as columns and the worker feeds them through feed_columns.
     return [
         [
             (t, "i", (t * 7 + seed) % 1_000_003)
@@ -122,29 +112,16 @@ def _vector_traces():
     ]
 
 
-def _measure(
-    spec_text,
-    jobs,
-    traces,
-    cache_dir,
-    *,
-    transport="auto",
-    repeats=REPEATS,
-):
+def _measure(spec_text, jobs, traces, cache_dir, *, repeats=REPEATS):
     """Best-of-N wall time for one pool cell.
 
-    Returns ``(seconds, retries, resolved_transport, payload_bytes)``.
+    Returns ``(seconds, retries, resolved_transport, pickled_bytes)``.
     The full workload runs once untimed first (worker fork/compile via
     the warm plan cache plus one complete data pass), then N timed
-    rounds.  Payload byte counters cover the timed rounds only.
+    rounds.  The byte counter covers the timed rounds only.
     """
     options = api.CompileOptions(plan_cache=cache_dir)
-    pool = MonitorPool(
-        spec_text,
-        compile_options=options,
-        jobs=jobs,
-        transport=transport,
-    )
+    pool = MonitorPool(spec_text, compile_options=options, jobs=jobs)
 
     def run():
         result = pool.run_many(
@@ -170,32 +147,23 @@ def _measure(
     finally:
         DEFAULT_REGISTRY.enabled = was_enabled
     counters = DEFAULT_REGISTRY.snapshot()["counters"]
-    payload_bytes = {
-        "shared": counters.get(POOL_BYTES_SHARED, 0)
-        - base.get(POOL_BYTES_SHARED, 0),
-        "pickled": counters.get(POOL_BYTES_PICKLED, 0)
-        - base.get(POOL_BYTES_PICKLED, 0),
-    }
-    return best, retries, warm.transport, payload_bytes
+    pickled = counters.get(POOL_BYTES_PICKLED, 0) - base.get(
+        POOL_BYTES_PICKLED, 0
+    )
+    return best, retries, warm.transport, pickled
 
 
-def _curve(spec_text, traces, cache, total_events, *, transport, repeats):
+def _curve(spec_text, traces, cache, total_events, *, repeats):
     curve = {}
     retries_total = 0
     resolved = None
-    payload = {"shared": 0, "pickled": 0}
+    payload = {"pickled": 0}
     for jobs in JOB_COUNTS:
-        seconds, retries, resolved, cell_payload = _measure(
-            spec_text,
-            jobs,
-            traces,
-            cache,
-            transport=transport,
-            repeats=repeats,
+        seconds, retries, resolved, pickled = _measure(
+            spec_text, jobs, traces, cache, repeats=repeats
         )
         retries_total += retries
-        payload["shared"] += cell_payload["shared"]
-        payload["pickled"] += cell_payload["pickled"]
+        payload["pickled"] += pickled
         curve[str(jobs)] = {
             "seconds": round(seconds, 6),
             "events_per_sec": round(total_events / seconds),
@@ -226,14 +194,6 @@ def main(argv=None):
         help="minimum 4-worker vs 1-worker events/sec"
         " ratio (enforced only when the machine has >= 4 CPUs)",
     )
-    parser.add_argument(
-        "--transport-threshold",
-        type=float,
-        default=TRANSPORT_THRESHOLD,
-        help="minimum shm vs pipe events/sec ratio at 4 process workers"
-        " on the transport workload (enforced only when the machine has"
-        " >= 4 CPUs)",
-    )
     args = parser.parse_args(argv)
 
     traces = _seen_set_traces()
@@ -245,39 +205,26 @@ def main(argv=None):
     # Prime the plan caches once; every worker warm-starts from them.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    transport_curves = {}
     try:
         with tempfile.TemporaryDirectory(prefix="plan-cache-") as cache:
             api.compile(SEEN_SET_TEXT, api.CompileOptions(plan_cache=cache))
             api.compile(VECTOR_TEXT, api.CompileOptions(plan_cache=cache))
             process = _curve(
-                SEEN_SET_TEXT,
-                traces,
-                cache,
-                total_events,
-                transport="auto",
-                repeats=REPEATS,
+                SEEN_SET_TEXT, traces, cache, total_events, repeats=REPEATS
             )
-            for transport in ("pipe", "shm"):
-                transport_curves[transport] = _curve(
-                    VECTOR_TEXT,
-                    vec_traces,
-                    cache,
-                    vec_total,
-                    transport=transport,
-                    repeats=TRANSPORT_REPEATS,
-                )
+            transport = _curve(
+                VECTOR_TEXT,
+                vec_traces,
+                cache,
+                vec_total,
+                repeats=TRANSPORT_REPEATS,
+            )
     finally:
         if gc_was_enabled:
             gc.enable()
 
     speedup_4 = process["speedup_4_vs_1"]
-    shm_vs_pipe_4 = round(
-        transport_curves["shm"]["jobs"]["4"]["events_per_sec"]
-        / transport_curves["pipe"]["jobs"]["4"]["events_per_sec"],
-        2,
-    )
-    shm_speedup_4 = transport_curves["shm"]["speedup_4_vs_1"]
+    transport_speedup_4 = transport["speedup_4_vs_1"]
     threshold_enforced = cpus >= 4
     result = {
         "benchmark": "parallel-pool-scaling",
@@ -307,10 +254,7 @@ def main(argv=None):
             "traces": TRANSPORT_TRACES,
             "events_total": vec_total,
             "repeats": TRANSPORT_REPEATS,
-            "curves": transport_curves,
-            "shm_vs_pipe_4_workers": shm_vs_pipe_4,
-            "shm_speedup_4_vs_1": shm_speedup_4,
-            "threshold": args.transport_threshold,
+            **transport,
             "threshold_enforced": threshold_enforced,
         },
     }
@@ -328,18 +272,10 @@ def main(argv=None):
             file=sys.stderr,
         )
         failed = True
-    if threshold_enforced and shm_vs_pipe_4 < args.transport_threshold:
+    if threshold_enforced and transport_speedup_4 <= 1.0:
         print(
-            f"FAIL: shm transport is {shm_vs_pipe_4:.2f}x pipe at 4"
-            f" workers, below the {args.transport_threshold:.1f}x"
-            f" threshold on a {cpus}-CPU machine",
-            file=sys.stderr,
-        )
-        failed = True
-    if threshold_enforced and shm_speedup_4 <= 1.0:
-        print(
-            f"FAIL: shm transport 4-vs-1 speedup {shm_speedup_4:.2f}x"
-            " does not scale",
+            f"FAIL: transport workload 4-vs-1 speedup"
+            f" {transport_speedup_4:.2f}x does not scale",
             file=sys.stderr,
         )
         failed = True
@@ -349,12 +285,12 @@ def main(argv=None):
         print(
             f"note: thresholds not enforced ({cpus} CPU(s) < 4);"
             f" measured pool 4-vs-1 speedup {speedup_4:.2f}x,"
-            f" shm-vs-pipe at 4 workers {shm_vs_pipe_4:.2f}x"
+            f" transport workload {transport_speedup_4:.2f}x"
         )
     else:
         print(
             f"ok: 4 process workers are {speedup_4:.2f}x one worker;"
-            f" shm is {shm_vs_pipe_4:.2f}x pipe at 4 workers"
+            f" {transport_speedup_4:.2f}x on the transport workload"
         )
     return 0
 

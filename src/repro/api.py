@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _ENGINES = ("auto", "codegen", "vector")
-_POOL_TRANSPORTS = ("auto", "shm", "pipe")
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,6 @@ class RunOptions:
     #: The run's snapshot lands in ``RunReport.metrics`` and accumulates
     #: in :meth:`Monitor.metrics`.
     metrics: bool = False
-    #: Trace payload transport for the worker processes of
-    #: :func:`run_many`: ``"auto"`` (the default) packs each trace
-    #: once into parent-owned shared-memory segments and dispatches
-    #: only an arena descriptor — retries re-read instead of
-    #: re-pickling — degrading to the pickle-over-pipe path where the
-    #: platform lacks shared memory; ``"shm"``/``"pipe"`` force a
-    #: transport.  Sequential execution (``jobs=1``) ignores this (no
-    #: process boundary).
-    pool_transport: str = "auto"
     #: Per-trace wall-clock deadline in seconds for the worker
     #: processes; a trace outliving it is killed and re-dispatched.
     trace_timeout: Optional[float] = None
@@ -204,11 +194,6 @@ class RunOptions:
             raise ValueError("resume=True requires checkpoint_dir")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.pool_transport not in _POOL_TRANSPORTS:
-            raise ValueError(
-                f"unknown pool transport {self.pool_transport!r}; expected"
-                f" one of {_POOL_TRANSPORTS}"
-            )
         if self.trace_timeout is not None and self.trace_timeout <= 0:
             raise ValueError(
                 f"trace_timeout must be > 0, got {self.trace_timeout}"
@@ -623,14 +608,13 @@ def run_many(
         max_in_flight=max_in_flight,
         retry=RetryPolicy(max_attempts=options.max_retries + 1),
         trace_timeout=options.trace_timeout,
-        transport=options.pool_transport,
     )
 
     def _listed(source):
         # Lazy pass-through: each trace is pulled (and materialized)
         # exactly once, when the pool's backpressure window reaches it.
-        # The pool parses it once into its transport payload; retries
-        # reuse that payload and never re-iterate the source.
+        # The pool builds its task payload once; retries reuse that
+        # payload and never re-iterate the source.
         for trace in source:
             yield trace if isinstance(trace, list) else list(trace)
 

@@ -51,11 +51,11 @@ def bench_metadata(
     ``pool_backend`` (which worker backend produced the numbers),
     ``retries`` (supervision retries absorbed during the run),
     ``fault_injection`` (the chaos configuration, if any),
-    ``transport`` (the resolved trace data path: ``pipe``, ``shm`` or
+    ``transport`` (the resolved trace data path: ``pipe`` or
     ``inline``) and ``payload_bytes`` (bytes moved per data path, e.g.
-    ``{"shared": ..., "pickled": ...}``) — so a BENCH artifact from a
-    chaos run or a degraded transport can never be mistaken for a
-    clean one.  These keys appear only when given.
+    ``{"pickled": ...}``) — so a BENCH artifact from a chaos run or a
+    sequential fallback can never be mistaken for a clean pool run.
+    These keys appear only when given.
     """
     meta: Dict[str, object] = {
         "commit": _git_commit(cwd),

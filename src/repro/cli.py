@@ -13,11 +13,11 @@ Subcommands over a textual specification file:
   (lines ``timestamp,stream,value``) and print outputs as CSV;
 * ``run-many`` — run the monitor over many independent CSV traces
   (``--traces a.csv b.csv ...``) on the supervised worker pool
-  (``--jobs``, ``--pool-transport auto|shm|pipe``, ``--trace-timeout``,
-  ``--max-retries``) and print outputs as ``trace,ts,stream,value``
-  lines in submission order; quarantined traces warn on stderr, and a
-  fail-fast abort is the usual one-line ``error:`` diagnostic naming
-  the trace, worker and attempt history;
+  (``--jobs``, ``--trace-timeout``, ``--max-retries``) and print
+  outputs as ``trace,ts,stream,value`` lines in submission order;
+  quarantined traces warn on stderr, and a fail-fast abort is the
+  usual one-line ``error:`` diagnostic naming the trace, worker and
+  attempt history;
 * ``profile``  — run the monitor with the observability layer on and
   print a per-stream copy/in-place table, compile-phase timings and
   plan-cache counters (``--json`` for machine-readable output); see
@@ -230,7 +230,6 @@ def _run_options(args) -> "api.RunOptions":
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         jobs=args.jobs,
-        pool_transport=args.pool_transport,
         trace_timeout=args.trace_timeout,
         max_retries=args.max_retries,
     )
@@ -395,9 +394,8 @@ def _cmd_run_many(args, flat) -> int:
     Reads each ``--traces`` CSV file exactly once (lazily, under the
     pool's backpressure window), distributes them over the supervised
     :class:`~repro.parallel.MonitorPool`
-    (``--jobs``/``--pool-transport``/``--trace-timeout``/
-    ``--max-retries``), and streams results in submission order as
-    ``trace,ts,stream,value`` CSV lines.  A quarantined trace prints a
+    (``--jobs``/``--trace-timeout``/``--max-retries``), and streams
+    results in submission order as ``trace,ts,stream,value`` CSV lines.  A quarantined trace prints a
     one-line ``warning:`` on stderr and the run keeps draining; under
     fail-fast (the default error policy) a poison trace aborts with the
     usual one-line ``error:`` diagnostic and exit 1.
@@ -408,9 +406,8 @@ def _cmd_run_many(args, flat) -> int:
     run_options = _run_options(args)
     # Lazy and parse-once: each CSV file is read when the pool's
     # backpressure window reaches it, exactly once — the parsed trace
-    # lands in the pool's transport payload (shared-memory arena on
-    # the shm transport) and every retry re-reads that payload, never
-    # the file.
+    # becomes the pool's task payload and every retry resends that
+    # payload, never re-reading the file.
     traces = (_read_trace(path, flat) for path in args.traces)
 
     handle = open(args.output, "w") if args.output else sys.stdout
@@ -800,16 +797,6 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help="for 'run-many': worker processes; 1 runs sequentially",
-    )
-    parser.add_argument(
-        "--pool-transport",
-        choices=["auto", "shm", "pipe"],
-        default="auto",
-        help="for 'run-many': how trace payloads reach the workers —"
-        " shared-memory arena segments with descriptor-only dispatch"
-        " (shm; retries re-read instead of re-pickling), pickled event"
-        " lists per attempt (pipe), or shm wherever the platform"
-        " supports it (auto, the default)",
     )
     parser.add_argument(
         "--trace-timeout",

@@ -736,23 +736,33 @@ class VectorMonitorBase(MonitorBase):
         timestamp stay pending, and on a protocol error the offending
         event is reported and not consumed while the valid prefix
         before it is — the same partial progress a ``push`` loop makes.
+        An exception raised *by the calculation* stops the monitor, as
+        under codegen: every later call raises :class:`MonitorError`.
         Returns the number of events consumed.
         """
         if self._finished:
-            raise MonitorError("feed_batch() after finish()")
+            raise self._closed("feed_batch")
         if not isinstance(events, list):
             events = list(events)
         if not events:
             return 0
         packed = self._pack_batch(events)
-        if packed is not None:
-            return self._feed_batch_fast(events, *packed)
-        error_index, error = self._validate_batch(events)
-        if error is not None:
-            if error_index:
-                self.feed_batch(events[:error_index])
-            raise error
+        if packed is None:
+            error_index, error = self._validate_batch(events)
+            if error is not None:
+                if error_index:
+                    self.feed_batch(events[:error_index])
+                raise error
+        try:
+            if packed is not None:
+                return self._feed_batch_fast(events, *packed)
+            return self._feed_batch_rows(events)
+        except BaseException as exc:
+            self._stop(f"feed_batch() raised {type(exc).__name__}")
+            raise
 
+    def _feed_batch_rows(self, events: List[Tuple[int, str, Any]]) -> int:
+        """The row path over a validated batch (no fast-path pack)."""
         input_attrs = type(self).INPUT_ATTRS
         tail_ts = events[-1][0]
         prepend: List[Tuple[int, str, Any]] = []
@@ -1011,27 +1021,47 @@ class VectorMonitorBase(MonitorBase):
         if not columns:
             return 0  # no stream has an event: the clock stays put
         pending = self._pending_ts
-        if pending is not None:
-            if first_ts <= pending:
-                # Merge corner (or an out-of-order error the row path
-                # reports with its exact message): row-convert.
-                return super().feed_columns(timestamps, columns)
-            self._run_calc(pending)
-            self._pending_ts = None
-
-        tail_ts = int(ts_arr[-1])
-        count = total * len(columns)
-        if total == 1:
-            self._catch_up(tail_ts)
-            self._set_column_tail(columns, 0)
-            self._pending_ts = tail_ts
-            return count
-
+        if pending is not None and first_ts <= pending:
+            # Merge corner (or an out-of-order error the row path
+            # reports with its exact message): row-convert.
+            return super().feed_columns(timestamps, columns)
         sliced = total - 1
+        cols, masks = self._column_slots(columns, sliced)
+        tail_ts = int(ts_arr[-1])
+        try:
+            if pending is not None:
+                self._run_calc(pending)
+                self._pending_ts = None
+            if sliced == 0:
+                self._catch_up(tail_ts)
+            else:
+                if self._done_ts < 0 and first_ts > 0:
+                    self._run_calc(0)
+                from ..obs.trace import TRACER
+
+                if TRACER.enabled:
+                    with TRACER.span("run.vector_batch"):
+                        self._vector_exec(ts_arr[:sliced], cols, masks)
+                else:
+                    self._vector_exec(ts_arr[:sliced], cols, masks)
+            self._set_column_tail(columns, sliced)
+        except BaseException as exc:
+            self._stop(f"feed_columns() raised {type(exc).__name__}")
+            raise
+        self._pending_ts = tail_ts
+        return total * len(columns)
+
+    def _column_slots(
+        self, columns: Mapping[str, Sequence[Any]], sliced: int
+    ) -> Tuple[List[Any], List[Any]]:
+        """Per-slot value columns and presence masks over the first
+        *sliced* timestamps of a dense block (no calculation)."""
+        np = self.NP
         prog = self.VPROG
-        n_vslots = prog.n_vslots
-        cols: List[Any] = [None] * n_vslots
-        masks: List[Any] = [None] * n_vslots
+        cols: List[Any] = [None] * prog.n_vslots
+        masks: List[Any] = [None] * prog.n_vslots
+        if sliced == 0:
+            return cols, masks
         for name, vslot, dtype_name in prog.col_inputs:
             column = columns.get(name)
             if column is None:
@@ -1049,18 +1079,7 @@ class VectorMonitorBase(MonitorBase):
                         column, dtype=kernels.resolve_dtype(np, dtype_name)
                     )
                     cols[vslot] = arr[:sliced]
-        if self._done_ts < 0 and first_ts > 0:
-            self._run_calc(0)
-        from ..obs.trace import TRACER
-
-        if TRACER.enabled:
-            with TRACER.span("run.vector_batch"):
-                self._vector_exec(ts_arr[:sliced], cols, masks)
-        else:
-            self._vector_exec(ts_arr[:sliced], cols, masks)
-        self._set_column_tail(columns, total - 1)
-        self._pending_ts = tail_ts
-        return count
+        return cols, masks
 
     def _set_column_tail(
         self, columns: Mapping[str, Sequence[Any]], index: int

@@ -14,6 +14,11 @@ One restriction beyond unification: complex types may not nest (no
 ``Set<Queue<Int>>``).  The paper's aliasing analysis tracks one
 aggregate per stream variable; element-level sharing between nested
 aggregates is outside its model, so we reject it at the type level.
+
+Another: the ordering builtins (``min``, ``max``, ``lt``, ``leq``,
+``gt``, ``geq``) take scalar arguments only.  Over aggregates, Python's
+``<=`` is a subset test on a bare ``set`` and a ``TypeError`` on a
+persistent one, so the backend choice would change the result.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from . import types as ty
 from .ast import Delay, Expr, Last, Lift, Nil, TimeExpr, UnitExpr
 from .spec import FlatSpec, SpecError
 from .types import INT, UNIT, Type, TypeVar
+
+#: Builtins that compare their arguments by order.
+_ORDERING = frozenset(("min", "max", "lt", "leq", "gt", "geq"))
 
 
 class _StreamVars(dict):
@@ -80,6 +88,21 @@ def _reject_nested_complex(name: str, resolved: Type) -> None:
                 )
 
 
+def _reject_ordered_aggregates(
+    flat: FlatSpec, resolved: Dict[str, Type]
+) -> None:
+    for name, expr in flat.definitions.items():
+        if isinstance(expr, Lift) and expr.func.name in _ORDERING:
+            for arg in expr.args:
+                if resolved[arg.name].is_complex:
+                    raise SpecError(
+                        f"type error in definition of {name!r}:"
+                        f" {expr.func.name} orders its arguments, but"
+                        f" {arg.name!r} has aggregate type"
+                        f" {resolved[arg.name]}"
+                    )
+
+
 def check_types(flat: FlatSpec) -> Dict[str, Type]:
     """Infer and validate all stream types; store them on ``flat.types``."""
     binding: Dict[TypeVar, Type] = {}
@@ -105,5 +128,6 @@ def check_types(flat: FlatSpec) -> Dict[str, Type]:
             )
         _reject_nested_complex(name, result)
         resolved[name] = result
+    _reject_ordered_aggregates(flat, resolved)
     flat.types = resolved
     return resolved

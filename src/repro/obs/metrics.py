@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, Optional
 __all__ = [
     "DEFAULT_REGISTRY",
     "MetricsRegistry",
-    "POOL_ARENA_ATTACH",
     "POOL_BYTES_PICKLED",
     "POOL_BYTES_SHARED",
     "POOL_HEARTBEATS",
@@ -68,13 +67,12 @@ POOL_RESTARTS = "pool_worker_restarts"
 POOL_HEARTBEATS = "pool_heartbeats"
 POOL_MISSED_HEARTBEATS = "pool_missed_heartbeats"
 POOL_QUARANTINED = "pool_traces_quarantined"
-#: Shared-memory trace transport (:mod:`repro.parallel.shm`):
-#: payload bytes packed columnar into segments, payload bytes packed as
-#: pickled blobs (the fallback encoding), and worker arena attaches
-#: (one per dispatched attempt over the shm transport).
-POOL_BYTES_SHARED = "pool_bytes_shared"
+#: Bytes of pickled task messages the pool sent to its workers (one
+#: message per dispatched attempt).  ``POOL_BYTES_SHARED`` is no longer
+#: bumped (no payload travels through shared memory); the name stays
+#: for readers that still report it.
 POOL_BYTES_PICKLED = "pool_bytes_pickled"
-POOL_ARENA_ATTACH = "pool_arena_attach"
+POOL_BYTES_SHARED = "pool_bytes_shared"
 #: Windowing library (:mod:`repro.speclib.windows`): aggregate updates
 #: served by the O(1) delta path vs. O(window) fold recomputations, and
 #: events the bounded-skew reorder buffer dropped as too late for their

@@ -10,9 +10,9 @@ leases: heartbeats, deadlines, death/hang detection, automatic
 restarts, capped-exponential-backoff re-dispatch (:class:`RetryPolicy`)
 and poison-trace quarantine (:class:`FaultPlan` injects the whole
 failure matrix deterministically for tests).  Trace payloads reach the
-workers through a shared-memory arena (:mod:`repro.parallel.shm`) or
-the pickle-over-pipe transport.  In-flight traces are bounded
-(backpressure), results are collected exactly once in submission
+workers pickled over their pipes: dense traces bound for the vector
+engine as columns, everything else as rows.  In-flight traces are
+bounded (backpressure), results are collected exactly once in submission
 order, and exhausted traces degrade per the compiled spec's
 :class:`~repro.errors.ErrorPolicy`.  ``jobs <= 1`` (or a platform
 without ``fork``) runs the same retry/quarantine loop in-process.
@@ -22,7 +22,6 @@ subcommand (``--jobs N``).  See ``docs/parallel.md``.
 """
 
 from .pool import MonitorPool, PoolError, PoolResult, TraceResult
-from .shm import ArenaDescriptor, TraceArena
 from .supervisor import (
     AttemptRecord,
     FaultPlan,
@@ -33,7 +32,6 @@ from .supervisor import (
 )
 
 __all__ = [
-    "ArenaDescriptor",
     "AttemptRecord",
     "FaultPlan",
     "MonitorPool",
@@ -43,6 +41,5 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "SupervisorStats",
-    "TraceArena",
     "TraceResult",
 ]

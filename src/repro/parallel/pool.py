@@ -55,7 +55,8 @@ from typing import (
     Tuple,
 )
 
-from ..compiler.monitor import freeze
+from ..compiler import kernels
+from ..compiler.monitor import UNIT_VALUE, freeze
 from ..compiler.runtime import MonitorRunner, RunReport
 from ..errors import ErrorPolicy, PoolError
 from ..obs.metrics import (
@@ -74,15 +75,6 @@ from .supervisor import (
 
 Event = Tuple[int, str, Any]
 OutputEvent = Tuple[str, int, Any]
-
-#: How trace payloads reach process workers: ``"shm"`` — packed once
-#: into parent-owned shared-memory segments, descriptor-only dispatch
-#: (see :mod:`repro.parallel.shm`); ``"pipe"`` — pickled event lists
-#: per attempt (the pre-arena behavior); ``"auto"`` — shm whenever the
-#: platform supports it.  Sequential execution has no process boundary
-#: and always runs inline.
-TRANSPORTS = ("auto", "shm", "pipe")
-
 
 @dataclass
 class TraceResult:
@@ -127,9 +119,9 @@ class PoolResult:
     backend: str = "sequential"
     #: Submission indexes of quarantined (poison) traces.
     quarantined: List[int] = field(default_factory=list)
-    #: How trace payloads reached the workers: ``"shm"``/``"pipe"`` on
-    #: the process pool, ``"inline"`` when no process boundary was
-    #: crossed (sequential fallback).
+    #: How trace payloads reached the workers: ``"pipe"`` on the
+    #: process pool, ``"inline"`` when no process boundary was crossed
+    #: (sequential fallback).
     transport: str = "inline"
 
     def outputs(self) -> List[List[OutputEvent]]:
@@ -177,7 +169,7 @@ def _run_monitor(
     """Run one trace through ``feed(runner)``: collect outputs, meter.
 
     The per-trace output collection and metrics instrumentation shared
-    by the row path (:func:`_run_one`) and the columnar shm path
+    by the row path (:func:`_run_one`) and the columnar path
     (:func:`_run_one_columns`).
     """
     outputs: Optional[List[OutputEvent]] = None
@@ -229,13 +221,12 @@ def _run_one_columns(
 ) -> Tuple[List[OutputEvent], RunReport]:
     """Run one dense columnar block through ``feed_columns``.
 
-    The shm-transport twin of :func:`_run_one`: the input is the
-    arena's shared timestamp/value arrays handed zero-copy to the
-    vector engine, which consumes them as views.  Outputs are
-    byte-identical to the row path by the engine's ``feed_columns``
-    contract, and for dense blocks the consumed-event count equals the
-    row count, so ``RunReport.events_in`` parity with the pipe
-    transport holds.
+    The columnar twin of :func:`_run_one`: the task message's
+    timestamp/value arrays go straight to the vector engine.  Outputs
+    are byte-identical to the row path by the engine's
+    ``feed_columns`` contract, and for dense blocks the consumed-event
+    count equals the row count, so ``RunReport.events_in`` parity with
+    the row payload holds.
     """
 
     def feed(runner: MonitorRunner) -> RunReport:
@@ -245,22 +236,136 @@ def _run_one_columns(
     return _run_monitor(compiled, options, feed)
 
 
-def _run_attached(
+#: Column dtype per exact Python value type (unit values are tuples).
+_COLUMN_DTYPES = {int: "int64", bool: "bool", float: "float64"}
+
+
+def _column_dtype(values: Sequence[Any]) -> Optional[str]:
+    """The homogeneous column dtype for a stream's values, or None.
+
+    Exact-type matching, not ``isinstance``: a bool is not an int64
+    here, because the columns must carry the original Python values
+    bit-for-bit (``np.float64(1).item()`` of an int would come back as
+    ``1.0`` and change downstream equality).
+    """
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is type(UNIT_VALUE):
+        return "unit" if values.count(UNIT_VALUE) == len(values) else None
+    return _COLUMN_DTYPES.get(kind)
+
+
+def _dense_columns(events: List[Tuple[int, str, Any]]) -> Optional[Tuple]:
+    """``(timestamps, [(stream, dtype_name, column)])`` or None.
+
+    Only dense traces qualify: well-formed 3-tuples with string stream
+    names, non-negative int timestamps sorted non-decreasing, every
+    stream firing exactly once at every timestamp, and homogeneous
+    int/float/bool/unit values per stream.  ``column`` is None for unit
+    streams.  Everything else rides as rows.
+
+    The checks run over the transposed trace (``map`` and numpy), not
+    per event in Python: the parent builds every payload, so this pass
+    bounds the pool's dispatch rate.
+    """
+    if not kernels.numpy_available() or len(events) < 2:
+        return None  # rows are smaller than the columnar scaffolding
+    np = kernels.numpy_module()
+    if set(map(type, events)) != {tuple} or set(map(len, events)) != {3}:
+        return None
+    stamps = [event[0] for event in events]
+    names = [event[1] for event in events]
+    values = [event[2] for event in events]
+    if set(map(type, stamps)) != {int} or set(map(type, names)) != {str}:
+        return None
+    streams = sorted(set(names))
+    width = len(streams)
+    if len(events) % width:
+        return None
+    try:
+        ts_arr = np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        return None
+    # Sorted, each timestamp exactly ``width`` times (one row of the
+    # grid per timestamp), rows strictly increasing, none negative.
+    grid = ts_arr.reshape(-1, width)
+    timestamps = grid[:, 0]
+    if (
+        timestamps[0] < 0
+        or not (grid == timestamps[:, None]).all()
+        or not (timestamps[1:] > timestamps[:-1]).all()
+    ):
+        return None
+    columns_of: Dict[str, Sequence[Any]] = {}
+    if width == 1:
+        columns_of[streams[0]] = values
+    else:
+        # Every stream exactly once per timestamp: each grid row of
+        # stream codes is a permutation of 0..width-1.
+        code = {name: index for index, name in enumerate(streams)}
+        rows = np.fromiter(
+            map(code.__getitem__, names), dtype=np.intp, count=len(names)
+        ).reshape(-1, width)
+        if not (np.sort(rows, axis=1) == np.arange(width)).all():
+            return None
+        # where[r, j]: the position of stream j's event in row r.
+        where = np.argsort(rows, axis=1) + (
+            np.arange(rows.shape[0]) * width
+        )[:, None]
+        for index, name in enumerate(streams):
+            columns_of[name] = [values[i] for i in where[:, index].tolist()]
+    streams_out = []
+    try:
+        for name in streams:
+            column_values = columns_of[name]
+            dtype_name = _column_dtype(column_values)
+            if dtype_name is None:
+                return None
+            column = None
+            if dtype_name != "unit":
+                column = np.asarray(
+                    column_values,
+                    dtype=kernels.resolve_dtype(np, dtype_name),
+                )
+            streams_out.append((name, dtype_name, column))
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return np.ascontiguousarray(timestamps), streams_out
+
+
+def _task_payload(events: List[Event], columnar: bool) -> Any:
+    """What one trace's task message carries to a worker.
+
+    ``columnar`` (the workers run the vector engine without input
+    validation) sends a dense trace as ``(timestamps, {stream:
+    column})``, the block ``feed_columns`` consumes; every other trace
+    rides as its event list, verbatim.
+    """
+    dense = _dense_columns(events) if columnar else None
+    if dense is None:
+        return events
+    timestamps, streams = dense
+    return timestamps, {
+        name: column if column is not None else [UNIT_VALUE] * len(timestamps)
+        for name, _dtype, column in streams
+    }
+
+
+def _run_payload(
     compiled: Any,
-    attached: Any,
+    payload: Any,
     options: _WorkerRunOptions,
     prefix: bool = False,
 ) -> Tuple[List[OutputEvent], RunReport]:
-    """Run one shm-attached trace (worker side of the shm transport).
+    """Run one task payload (worker side): columns or rows.
 
-    Columnar payloads go through the ``feed_columns`` zero-copy path;
-    blob payloads unpickle the exact original rows and run through
-    :func:`_run_one` unchanged.  ``prefix=True`` runs only the first
-    half (the chaos kill injector's mid-trace progress).
+    ``prefix=True`` runs only the first half (the chaos kill
+    injector's mid-trace progress).
     """
-    block = attached.dense_block()
-    if block is not None:
-        timestamps, columns = block
+    if type(payload) is tuple:
+        timestamps, columns = payload
         if prefix:
             half = max(1, len(timestamps) // 2)
             timestamps = timestamps[:half]
@@ -268,10 +373,9 @@ def _run_attached(
                 name: column[:half] for name, column in columns.items()
             }
         return _run_one_columns(compiled, timestamps, columns, options)
-    events = attached.rows()
     if prefix:
-        events = events[: max(1, len(events) // 2)]
-    return _run_one(compiled, events, options)
+        payload = payload[: max(1, len(payload) // 2)]
+    return _run_one(compiled, payload, options)
 
 
 def _attempt_trace(
@@ -346,11 +450,6 @@ class MonitorPool:
     fault_plan:
         A :class:`~repro.parallel.supervisor.FaultPlan` for
         deterministic chaos injection (worker processes only).
-    transport:
-        How trace payloads reach process workers: ``"auto"`` (the
-        default — shared memory whenever the platform supports it),
-        ``"shm"`` or ``"pipe"``.  See :data:`TRANSPORTS` and
-        :mod:`repro.parallel.shm`.
     """
 
     def __init__(
@@ -365,19 +464,13 @@ class MonitorPool:
         heartbeat_interval: float = 0.1,
         heartbeat_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: str = "auto",
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         self.jobs = max(1, int(jobs))
         self.max_in_flight = (
             max(1, int(max_in_flight))
             if max_in_flight is not None
             else 2 * self.jobs
         )
-        self.transport = transport
         self.retry = retry if retry is not None else RetryPolicy()
         self.trace_timeout = trace_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -453,24 +546,12 @@ class MonitorPool:
 
         return "fork" in multiprocessing.get_all_start_methods()
 
-    def _resolve_transport(self) -> str:
-        """The transport a supervised run will actually use."""
-        if self.transport == "pipe":
-            return "pipe"
-        from .shm import shm_available
-
-        # "auto" and "shm" both degrade cleanly when the platform has
-        # no shared_memory support; "shm" is a preference, not a
-        # hard requirement, so numpy-less and exotic hosts still run.
-        return "shm" if shm_available() else "pipe"
-
     @staticmethod
     def _finalize(
         results: List[TraceResult],
         workers: int,
         backend: str,
         stats: SupervisorStats,
-        transport: str = "inline",
     ) -> PoolResult:
         merged = RunReport()
         failures = 0
@@ -489,7 +570,7 @@ class MonitorPool:
             failures=failures,
             backend=backend,
             quarantined=sorted(stats.quarantined),
-            transport=transport,
+            transport="pipe" if backend == "process" else "inline",
         )
 
     def _fail_fast(self) -> bool:
@@ -547,11 +628,14 @@ class MonitorPool:
         on_result: Optional[Callable[[TraceResult], None]],
     ) -> PoolResult:
         """Forked workers under the Supervisor."""
-        transport = self._resolve_transport()
-        # The arena's encoding follows the engine the workers run:
-        # resolved once per run, by the local compile (a warm
-        # plan-cache hit for text payloads).
-        engine = self._local_compiled().engine if transport == "shm" else None
+        # Columns pay only where a worker feeds them to the vector
+        # engine without input validation (which reports errors in
+        # original row order).  The engine is resolved once per run, by
+        # the local compile (a warm plan-cache hit for text payloads).
+        columnar = (
+            not run_options.validate_inputs
+            and self._local_compiled().engine == "vector"
+        )
         supervisor = Supervisor(
             self._payload,
             self._options,
@@ -564,13 +648,10 @@ class MonitorPool:
             fault_plan=self.fault_plan,
             fail_fast=self._fail_fast(),
             max_in_flight=self.max_in_flight,
-            transport=transport,
-            engine=engine,
+            columnar=columnar,
         )
         ordered = supervisor.run(traces, on_result=on_result)
-        return self._finalize(
-            ordered, self.jobs, "process", supervisor.stats, transport
-        )
+        return self._finalize(ordered, self.jobs, "process", supervisor.stats)
 
 
 def run_many(
@@ -585,7 +666,6 @@ def run_many(
     heartbeat_interval: float = 0.1,
     heartbeat_timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    transport: str = "auto",
     **run_kwargs: Any,
 ) -> PoolResult:
     """One-shot convenience around :class:`MonitorPool`."""
@@ -599,13 +679,11 @@ def run_many(
         heartbeat_interval=heartbeat_interval,
         heartbeat_timeout=heartbeat_timeout,
         fault_plan=fault_plan,
-        transport=transport,
     )
     return pool.run_many(traces, **run_kwargs)
 
 
 __all__ = [
-    "TRANSPORTS",
     "FaultPlan",
     "MonitorPool",
     "PoolError",

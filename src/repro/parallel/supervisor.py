@@ -67,7 +67,7 @@ from typing import (
 from ..errors import PoolError
 from ..obs.metrics import (
     DEFAULT_REGISTRY,
-    POOL_ARENA_ATTACH,
+    POOL_BYTES_PICKLED,
     POOL_HEARTBEATS,
     POOL_MISSED_HEARTBEATS,
     POOL_QUARANTINED,
@@ -316,15 +316,11 @@ def _worker_main(
     ``repro.api`` (hitting the text-keyed on-disk plan cache), compiled
     payloads are inherited through ``fork``.
 
-    A task's payload is either the event list itself (pipe transport)
-    or an :class:`~repro.parallel.shm.ArenaDescriptor` (shm transport)
-    — then the worker attaches the parent-owned segment read-only,
-    feeds it (zero-copy columns for a columnar payload, the unpickled
-    rows of a blob) and closes its mapping afterwards; it never
-    unlinks.
+    A task's payload is the trace's event list or, for a dense trace
+    bound for the vector engine, its ``(timestamps, columns)`` block
+    (see :func:`~repro.parallel.pool._task_payload`).
     """
-    from .pool import _run_attached, _run_one
-    from .shm import ArenaDescriptor, attach
+    from .pool import _run_payload
 
     send_lock = threading.Lock()
 
@@ -362,39 +358,19 @@ def _worker_main(
         send(("start", wid, index, attempt))
         heartbeat.begin(index, attempt)
         outputs = report = error = None
-        attached = None
         try:
-            if isinstance(payload, ArenaDescriptor):
-                attached = attach(payload)
-
-                def run_prefix() -> Any:
-                    return _run_attached(
-                        compiled, attached, run_options, prefix=True
-                    )
-
-                def run_full() -> Any:
-                    return _run_attached(compiled, attached, run_options)
-
-            else:
-                events = payload
-
-                def run_prefix() -> Any:
-                    return _run_one(
-                        compiled,
-                        events[: max(1, len(events) // 2)],
-                        run_options,
-                    )
-
-                def run_full() -> Any:
-                    return _run_one(compiled, events, run_options)
-
-            _apply_fault(fault_plan, index, attempt, heartbeat, run_prefix)
-            outputs, report = run_full()
+            _apply_fault(
+                fault_plan,
+                index,
+                attempt,
+                heartbeat,
+                lambda: _run_payload(
+                    compiled, payload, run_options, prefix=True
+                ),
+            )
+            outputs, report = _run_payload(compiled, payload, run_options)
         except Exception as exc:  # noqa: BLE001 - crossing a process boundary
             error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if attached is not None:
-                attached.close()
         heartbeat.end()
         send(("done", wid, index, attempt, outputs, report, error))
 
@@ -405,26 +381,16 @@ def _worker_main(
 class _Task:
     """One trace's supervision state: payload, attempts, backoff clock.
 
-    Under the shm transport ``descriptor`` replaces ``events`` once the
-    trace is packed into the arena: every (re-)dispatch sends the same
-    tiny descriptor and the parent drops its row copy.  ``events``
-    survives only on the pipe transport or when packing failed for this
-    trace (per-trace degrade).
+    ``payload`` is built once when the trace is pulled; every
+    (re-)dispatch sends it again, so retries never re-iterate the
+    caller's trace.
     """
 
-    __slots__ = (
-        "index",
-        "events",
-        "descriptor",
-        "attempts",
-        "eligible_at",
-        "resolved",
-    )
+    __slots__ = ("index", "payload", "attempts", "eligible_at", "resolved")
 
-    def __init__(self, index: int, events: Sequence[Any]) -> None:
+    def __init__(self, index: int, payload: Any) -> None:
         self.index = index
-        self.events: Optional[List[Any]] = list(events)
-        self.descriptor: Optional[Any] = None
+        self.payload = payload
         self.attempts: List[AttemptRecord] = []
         self.eligible_at = 0.0
         self.resolved = False
@@ -487,8 +453,7 @@ class Supervisor:
         fault_plan: Optional[FaultPlan] = None,
         fail_fast: bool = True,
         max_in_flight: Optional[int] = None,
-        transport: str = "pipe",
-        engine: Optional[str] = None,
+        columnar: bool = False,
     ) -> None:
         self.payload = payload
         self.compile_options = compile_options
@@ -505,15 +470,9 @@ class Supervisor:
         )
         self.fault_plan = fault_plan
         self.fail_fast = fail_fast
-        if transport not in ("pipe", "shm"):
-            raise ValueError(
-                f"transport must be 'pipe' or 'shm', got {transport!r}"
-            )
-        self.transport = transport
-        #: The workers' resolved engine: under ``"vector"`` the shm
-        #: arena packs dense traces columnar, otherwise every trace
-        #: ships as a pickled blob.
-        self.engine = engine
+        #: Send dense traces as ``(timestamps, columns)`` blocks (the
+        #: workers run the vector engine without input validation).
+        self.columnar = columnar
         self.max_in_flight = (
             max(1, int(max_in_flight))
             if max_in_flight is not None
@@ -531,22 +490,11 @@ class Supervisor:
         """Run every trace; return ordered :class:`TraceResult` objects."""
         import multiprocessing
         from multiprocessing import connection as mp_connection
+        from multiprocessing.reduction import ForkingPickler
 
-        from .pool import TraceResult
+        from .pool import TraceResult, _task_payload
 
         ctx = multiprocessing.get_context("fork")
-        arena = None
-        if self.transport == "shm":
-            from .shm import TraceArena
-
-            arena = TraceArena()
-        # Columnar packing pays only where a worker feeds the columns
-        # zero-copy: the vector engine, without input validation (which
-        # reports errors in original row order).  Everything else ships
-        # as a blob, with no per-event work in the parent.
-        columnar = self.engine == "vector" and not getattr(
-            self.run_options, "validate_inputs", False
-        )
         trace_iter = iter(enumerate(traces))
         tasks: Dict[int, _Task] = {}
         pending: deque = deque()
@@ -594,11 +542,6 @@ class Supervisor:
                 pending.remove(task.index)
             except ValueError:
                 pass
-            if arena is not None:
-                # The lease chain for this trace is over (success or
-                # quarantine): drop the segment exactly once.  Late
-                # duplicate results hit the idempotent no-op path.
-                arena.release(task.index)
             results[task.index] = result
             deliver()
 
@@ -774,21 +717,7 @@ class Supervisor:
                 except StopIteration:
                     state["input_done"] = True
                     return
-                task = _Task(index, events)
-                if arena is not None:
-                    # Pack once; retries re-send the descriptor and
-                    # re-read the same segment.  A pack failure (e.g.
-                    # /dev/shm exhaustion) degrades this one trace to
-                    # the pipe payload.
-                    try:
-                        task.descriptor = arena.pack(
-                            index,
-                            task.events,
-                            columnar=columnar,
-                        )
-                        task.events = None
-                    except Exception:  # noqa: BLE001 - per-trace degrade
-                        task.descriptor = None
+                task = _Task(index, _task_payload(list(events), self.columnar))
                 tasks[index] = task
                 pending.append(index)
 
@@ -813,15 +742,13 @@ class Supervisor:
                 if index is None:
                     return
                 task = tasks[index]
-                payload = (
-                    task.descriptor
-                    if task.descriptor is not None
-                    else task.events
+                # What Connection.send does, with the size kept for
+                # pool_bytes_pickled; the worker's recv() is unchanged.
+                message = ForkingPickler.dumps(
+                    ("task", index, task.next_attempt, task.payload)
                 )
                 try:
-                    handle.conn.send(
-                        ("task", index, task.next_attempt, payload)
-                    )
+                    handle.conn.send_bytes(message)
                 except (OSError, ValueError, BrokenPipeError):
                     pending.appendleft(index)
                     reap(handle, "crash", "pipe closed at dispatch")
@@ -831,11 +758,7 @@ class Supervisor:
                 handle.lease_started = now
                 handle.last_heartbeat = now
                 DEFAULT_REGISTRY.inc(POOL_TASKS)
-                if task.descriptor is not None:
-                    # One descriptor dispatch == one worker attach;
-                    # counted here because worker registries are
-                    # process-local and die with the fork.
-                    DEFAULT_REGISTRY.inc(POOL_ARENA_ATTACH)
+                DEFAULT_REGISTRY.inc(POOL_BYTES_PICKLED, len(message))
 
         def check_leases(now: float) -> None:
             for handle in list(workers.values()):
@@ -880,6 +803,9 @@ class Supervisor:
             for _ in range(self.jobs):
                 spawn()
             while True:
+                # Idle workers take already-built tasks first, so none
+                # waits while refill() builds the next payloads.
+                dispatch()
                 refill()
                 dispatch()
                 if state["input_done"] and not tasks:
@@ -910,13 +836,6 @@ class Supervisor:
         except BaseException:
             self._shutdown(workers, graceful=False)
             raise
-        finally:
-            # Exactly-once unlink for whatever the run still owns: on
-            # the normal path every segment was already released at
-            # resolution (no-op); on abort/kill paths the workers are
-            # dead by now and the leftover segments go here.
-            if arena is not None:
-                arena.close_all()
         self._shutdown(workers, graceful=True)
         return ordered
 

@@ -407,7 +407,6 @@ def chaos_pool_run(
     heartbeat_interval: float = 0.02,
     heartbeat_timeout: float = 0.3,
     trace_timeout: Optional[float] = None,
-    transport: str = "auto",
     **run_kwargs: Any,
 ):
     """Run the supervised process pool under *fault_plan* with fast
@@ -424,7 +423,6 @@ def chaos_pool_run(
         spec,
         compile_options=compile_options,
         jobs=jobs,
-        transport=transport,
         retry=RetryPolicy(
             max_attempts=max_attempts, base_delay=0.01, max_delay=0.05
         ),

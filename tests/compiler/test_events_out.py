@@ -126,8 +126,41 @@ def test_raising_callback_leaves_count_at_k(engine, mode):
         feed(runner, mode, ts, cols)
         runner.finish()
     assert runner.report.events_out == 3
-    if engine == "codegen" and mode != "push":
+    if mode != "push":
         # the batch was consumed mid-calculation: the monitor stops
         with pytest.raises(MonitorError, match="raised Boom"):
             runner.feed_batch([(100, "a", 1)])
+
+
+SUM = """\
+in x: Int
+in y: Int
+def s := x + y
+out s
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_raising_calculation_stops_the_monitor(engine):
+    class Boom(Exception):
+        pass
+
+    calls = []
+
+    def on_output(name, ts, value):
+        calls.append(ts)
+        if len(calls) == 3:
+            raise Boom
+
+    runner = runner_for(engine, spec=SUM, on_output=on_output)
+    events = [(t, name, t) for t in range(1, 80) for name in ("x", "y")]
+    with pytest.raises(Boom):
+        runner.feed_batch(events)
+    with pytest.raises(
+        MonitorError, match=r"feed_batch\(\) after feed_batch\(\) raised Boom"
+    ):
+        runner.feed_batch([(100, "x", 1), (100, "y", 2)])
+    with pytest.raises(MonitorError, match="raised Boom"):
+        runner.finish()
+
 

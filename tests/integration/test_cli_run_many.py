@@ -327,24 +327,20 @@ class TestParseOnce:
         # ... and still, one parse per file.
         assert sorted(calls) == sorted(traces)
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm", "auto"])
-    def test_pool_transport_flag_accepted(
-        self, tmp_path, seen_spec, capsys, transport
-    ):
+    def test_pool_transport_flag_is_gone(self, tmp_path, seen_spec, capsys):
         traces = write_traces(tmp_path, "i", [[(1, 3), (2, 3)]])
-        rc = main(
-            [
-                "run-many",
-                seen_spec,
-                "--traces",
-                *traces,
-                "--jobs",
-                "2",
-                "--pool-transport",
-                transport,
-            ]
-        )
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert captured.err == ""
-        assert "0,2,s,True" in captured.out
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run-many",
+                    seen_spec,
+                    "--traces",
+                    *traces,
+                    "--jobs",
+                    "2",
+                    "--pool-transport",
+                    "pipe",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--pool-transport" in capsys.readouterr().err

@@ -171,3 +171,49 @@ class TestInference:
         from repro.lang import FLOAT
 
         assert types["c"] == FLOAT
+
+
+
+ORDERED_OVER_SET = """\
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def z  := {expr}
+out z
+"""
+
+
+class TestOrderingOverAggregates:
+    # Python's <= is a subset test on a bare set and a TypeError on a
+    # persistent one: both compiles must reject the spec the same way.
+    @pytest.mark.parametrize(
+        "op, expr",
+        [
+            ("min", "set_size(min(y, y))"),
+            ("max", "set_size(max(y, y))"),
+            ("lt", "lt(y, yl)"),
+            ("leq", "leq(y, yl)"),
+            ("gt", "gt(y, yl)"),
+            ("geq", "geq(y, yl)"),
+        ],
+    )
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_ordering_over_set_rejected(self, op, expr, optimize):
+        from repro import api
+
+        with pytest.raises(SpecError) as info:
+            api.compile(
+                ORDERED_OVER_SET.format(expr=expr),
+                api.CompileOptions(optimize=optimize),
+            )
+        assert f"{op} orders its arguments" in str(info.value)
+        assert "aggregate type Set<Int>" in str(info.value)
+
+    def test_ordering_over_scalars_accepted(self):
+        spec = Specification(
+            inputs={"a": INT, "b": INT},
+            definitions={"m": Lift(builtin("max"), (Var("a"), Var("b")))},
+        )
+        types, _ = infer(spec)
+        assert types["m"] == INT

@@ -8,6 +8,7 @@ outputs are byte-identical to a fault-free sequential run.
 import pytest
 
 from repro import api
+from repro.compiler import kernels
 from repro.errors import PoolError
 from repro.obs.metrics import DEFAULT_REGISTRY
 from repro.parallel import MonitorPool, RetryPolicy
@@ -20,6 +21,10 @@ from repro.testing import (
 )
 
 from .util import random_trace, to_events
+
+needs_numpy = pytest.mark.skipif(
+    not kernels.numpy_available(), reason="numpy not installed"
+)
 
 SEEN_SET_TEXT = """\
 in i: Int
@@ -355,3 +360,103 @@ class TestBackendEquivalence:
             api.RunOptions(trace_timeout=0)
         with pytest.raises(ValueError):
             api.RunOptions(max_retries=-1)
+
+
+VECTOR_TEXT = """\
+in i: Int
+def dbl := add(i, i)
+out dbl
+"""
+
+
+def dense_traces(count, length=50):
+    return [
+        [(t, "i", (t * seed) % 7) for t in range(length)]
+        for seed in range(count)
+    ]
+
+
+@needs_numpy
+class TestColumnarChaos:
+    """The kill/hang/poison/fail-fast matrix over columnar payloads."""
+
+    @pytest.fixture
+    def baseline(self):
+        traces = dense_traces(6)
+        return traces, MonitorPool(VECTOR_TEXT, jobs=1).run_many(traces)
+
+    def test_killed_worker_redispatches_columns(self, baseline):
+        traces, serial = baseline
+        assert api.compile(VECTOR_TEXT).engine_resolved == "vector"
+        result = chaos_pool_run(
+            VECTOR_TEXT, traces, kill_worker_after(2, seed=7)
+        )
+        assert result.outputs() == serial.outputs()
+        assert result.report.events_in == serial.report.events_in
+        assert result.failures == 0
+        assert result.report.retries >= 1
+        assert result.results[2].attempts[0].outcome == "crash"
+
+    def test_hung_worker_redispatches_columns(self, baseline):
+        traces, serial = baseline
+        result = chaos_pool_run(VECTOR_TEXT, traces, hang_worker(1))
+        assert result.outputs() == serial.outputs()
+        assert result.failures == 0
+        assert result.results[1].attempts[0].outcome == "hang"
+
+    def test_poison_quarantines_columns(self, baseline):
+        traces, serial = baseline
+        options = api.CompileOptions(error_policy="propagate")
+        result = chaos_pool_run(
+            VECTOR_TEXT,
+            traces,
+            poison_trace(2),
+            compile_options=options,
+            max_attempts=2,
+        )
+        assert result.failures == 1
+        assert result.results[2].quarantined
+        kept = [r.outputs for r in result.results if r.index != 2]
+        assert kept == [o for i, o in enumerate(serial.outputs()) if i != 2]
+
+    def test_fail_fast_aborts_on_columns(self, baseline):
+        traces, _serial = baseline
+        with pytest.raises(PoolError) as excinfo:
+            chaos_pool_run(
+                VECTOR_TEXT, traces, poison_trace(1), max_attempts=2
+            )
+        assert excinfo.value.trace_index == 1
+        assert len(excinfo.value.attempts) == 2
+
+
+class _OneShotTrace:
+    """An iterable that counts (and permits) a single materialization."""
+
+    def __init__(self, events):
+        self.events = list(events)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(list(self.events))
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize(
+        "spec, raw",
+        [
+            (SEEN_SET_TEXT, make_traces(5)),
+            pytest.param(VECTOR_TEXT, dense_traces(5), marks=needs_numpy),
+        ],
+        ids=["rows", "columns"],
+    )
+    def test_retries_do_not_reiterate_traces(self, spec, raw):
+        # Supervision re-dispatches trace 2 after a worker kill; the
+        # parent must resend the built payload, never re-pull the
+        # source iterable.
+        traces = [_OneShotTrace(events) for events in raw]
+        baseline = MonitorPool(spec, jobs=1).run_many(raw)
+        result = chaos_pool_run(spec, traces, kill_worker_after(2, seed=7))
+        assert result.outputs() == baseline.outputs()
+        assert result.report.retries >= 1
+        assert [t.iterations for t in traces] == [1] * len(traces)
