@@ -19,7 +19,7 @@ runs once untimed before the clock starts — so fork cost, page-cache
 state and allocator warm-up never pollute the curves.
 
 Each section's cells carry their own provenance stamp
-(``pool_backend``, resolved ``transport``, pickled ``payload_bytes``,
+(the resolved ``pool_backend``, pickled ``payload_bytes``,
 supervision ``retries`` observed during the timed runs) so a chaos
 artifact can never be mistaken for a clean one; this bench runs
 fault-free, so ``retries`` is expected to be 0.
@@ -115,7 +115,7 @@ def _vector_traces():
 def _measure(spec_text, jobs, traces, cache_dir, *, repeats=REPEATS):
     """Best-of-N wall time for one pool cell.
 
-    Returns ``(seconds, retries, resolved_transport, pickled_bytes)``.
+    Returns ``(seconds, retries, resolved_backend, pickled_bytes)``.
     The full workload runs once untimed first (worker fork/compile via
     the warm plan cache plus one complete data pass), then N timed
     rounds.  The byte counter covers the timed rounds only.
@@ -150,7 +150,7 @@ def _measure(spec_text, jobs, traces, cache_dir, *, repeats=REPEATS):
     pickled = counters.get(POOL_BYTES_PICKLED, 0) - base.get(
         POOL_BYTES_PICKLED, 0
     )
-    return best, retries, warm.transport, pickled
+    return best, retries, warm.backend, pickled
 
 
 def _curve(spec_text, traces, cache, total_events, *, repeats):
@@ -174,9 +174,8 @@ def _curve(spec_text, traces, cache, total_events, *, repeats):
             curve["1"]["seconds"] / curve["4"]["seconds"], 2
         ),
         "meta": bench_metadata(
-            pool_backend="process",
+            pool_backend=resolved,
             retries=retries_total,
-            transport=resolved,
             payload_bytes=payload,
         ),
     }

@@ -70,12 +70,9 @@ class CompileOptions:
 
     #: Run the paper's mutability analysis, after write-then-read
     #: fusion (``OPT008``) unless ``backend`` is set (``False`` — the
-    #: exclusively-persistent baseline, spec as written).  Also accepts
-    #: a mode string:
-    #: ``"none"`` (no analysis), ``"mutability"`` (analysis only, the
-    #: ``True`` default) or ``"rewrite"``/``"full"`` (analysis plus the
-    #: spec-level rewrite optimizer, i.e. ``rewrite=True``).
-    optimize: Union[bool, str] = True
+    #: exclusively-persistent baseline, spec as written).  A bool; the
+    #: rewrite optimizer is ``rewrite``.
+    optimize: bool = True
     #: Force one backend everywhere (e.g. ``"copying"`` for the
     #: naive-copy ablation); overrides ``optimize``.
     backend: Union[Backend, str, None] = None
@@ -105,21 +102,11 @@ class CompileOptions:
     plan_cache: Union[str, PlanCache, None] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.optimize, str):
-            mode = self.optimize.lower()
-            if mode == "none":
-                object.__setattr__(self, "optimize", False)
-            elif mode == "mutability":
-                object.__setattr__(self, "optimize", True)
-            elif mode in ("rewrite", "full"):
-                object.__setattr__(self, "optimize", True)
-                object.__setattr__(self, "rewrite", True)
-            else:
-                raise ValueError(
-                    f"unknown optimize mode {self.optimize!r}; expected"
-                    " one of ['none', 'mutability', 'rewrite', 'full']"
-                    " or a bool"
-                )
+        if not isinstance(self.optimize, bool):
+            raise TypeError(
+                f"optimize must be a bool, not {self.optimize!r}"
+                " (the rewrite optimizer is rewrite=True)"
+            )
         if isinstance(self.backend, str):
             try:
                 coerced = Backend[self.backend.upper()]

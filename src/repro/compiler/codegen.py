@@ -6,10 +6,11 @@ The calculation section is generated exactly once, as the function
 has no event); ``_calc_rows`` evaluates every stream of every row into
 local variables, following the translation order.  Both ingestion
 paths feed it: ``push`` hands over one row per timestamp, ``feed_batch`` a whole
-batch of rows.  Everything that is the same for every specification —
-the ingestion loop and its protocol checks, state initialization, the
-earliest-delay lookup — lives in :class:`CodegenMonitorBase` and is
-compiled once, with this module.
+batch of rows.  Everything that is the same for every specification is
+compiled once: the ingestion loop and its protocol checks, shared with
+the vector engine, live in :class:`~repro.compiler.monitor.MonitorBase`;
+state initialization, timestamp 0 and the earliest-delay lookup in
+:class:`CodegenMonitorBase`.
 
 Generated code only ever sees timestamps after 0.  Timestamp 0 — the
 only one at which ``unit``, constants and empty-aggregate constructors
@@ -56,7 +57,6 @@ local written back in a ``finally``.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -85,7 +85,7 @@ from ..lang.lint import zero_only_streams
 from ..lang.spec import FlatSpec
 from ..lang.types import BOOL, FLOAT, INT, STR
 from ..structures import Backend
-from .monitor import UNIT_VALUE, MonitorBase, MonitorError
+from .monitor import UNIT_VALUE, MonitorBase, _tuple_getter
 from .runtime import delay_next, wrap_lift
 
 
@@ -98,8 +98,6 @@ def _check_identifier(name: str) -> str:
         raise CodegenError(f"stream name {name!r} is not a valid identifier")
     return name
 
-
-_NONE_PAYLOAD = "None is the no-event value; not a valid payload"
 
 #: Guard of a stream that fires in every row ``_calc_rows`` sees.
 _ALWAYS = ""
@@ -210,29 +208,13 @@ def _bind_lift(
     return impl
 
 
-def _tuple_getter(attrs: Sequence[str]) -> Callable[[Any], tuple]:
-    """``obj → tuple of its attributes attrs``, in C where ``attrgetter``
-    allows.
-
-    State is read and written attribute by attribute, never through
-    the instance ``__dict__``: on CPython 3.11+ touching an instance's
-    ``__dict__`` makes every later attribute access on it slower.
-    """
-    if len(attrs) > 1:
-        return attrgetter(*attrs)
-    if attrs:
-        get = attrgetter(attrs[0])
-        return lambda obj: (get(obj),)
-    return lambda obj: ()
-
-
 class CodegenMonitorBase(MonitorBase):
     """The spec-independent half of every generated monitor.
 
     Subclasses are built by :func:`assemble_class` from a generated
     ``_calc_rows`` and a layout; everything else — state initialization,
-    timestamp 0, the one-row ``push`` path and the batch ingestion loop
-    — is here.
+    timestamp 0, the one-row ``push`` path and the batch calculation
+    over :meth:`MonitorBase.feed_batch`'s rows — is here.
     """
 
     #: Instance attributes holding stream state, all ``None`` initially.
@@ -251,23 +233,16 @@ class CodegenMonitorBase(MonitorBase):
     #: Streams whose last value the generated ``_calc_rows`` reads and
     #: updates (its ``_last_<name>`` cells).
     CELLS: Tuple[str, ...] = ()
-    #: Derived: ``_in_<name>`` attributes in ``INPUTS`` order, input
-    #: name → position in a row (slot 0 is the timestamp), and the
-    #: ``_next_<name>`` attributes of the delays.
-    IN_ATTRS: Tuple[str, ...] = ()
-    ROW_SLOT: Mapping[str, int] = {}
+    #: Derived: the ``_next_<name>`` attributes of the delays.
     NEXT_ATTRS: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls.IN_ATTRS = tuple("_in_" + name for name in cls.INPUTS)
-        cls.ROW_SLOT = {name: k + 1 for k, name in enumerate(cls.INPUTS)}
         cls.NEXT_ATTRS = tuple("_next_" + d for d, _, _ in cls.DELAYS)
         cls.HAS_DELAYS = bool(cls.DELAYS)
         # the pending inputs as a row; a lone input (the common case)
         # without building a tuple of one
         cls.LONE_INPUT = cls.IN_ATTRS[0] if len(cls.IN_ATTRS) == 1 else ""
-        cls._inputs_of = staticmethod(_tuple_getter(cls.IN_ATTRS))
         cls._delays_of = staticmethod(_tuple_getter(cls.NEXT_ATTRS))
 
     def _init_state(self) -> None:
@@ -358,38 +333,12 @@ class CodegenMonitorBase(MonitorBase):
                     value = 0 + value
                 setattr(self, "_next_" + name, value)
 
-    def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
-        """Group a batch into rows and run them through one
-        ``_calc_rows`` call.
-
-        Same protocol checks and messages as :meth:`MonitorBase.push`;
-        events of the last timestamp stay pending.  On a protocol error,
-        the rows completed before the offending event are still
-        calculated (the partial progress a ``push`` loop makes).  An exception raised *by the calculation* (a lift
-        without an error policy, the output callback) stops the monitor
-        instead: the batch's events are consumed by then, so no state
-        would match a ``push`` loop's; every later call raises
-        :class:`MonitorError`.  Raised while a protocol error is pending,
-        the calculation error wins (a ``push`` loop meets it first).
-        """
-        if self._finished:
-            raise self._closed("feed_batch")
-        rows: List[tuple] = []
-        try:
-            if len(self.INPUTS) == 1:
-                return self._rows_of_one(events, rows)
-            return self._rows_of_many(events, rows)
-        finally:
-            if rows or self.HAS_DELAYS:
-                try:
-                    if self.HAS_DELAYS:
-                        self._calc_rows(self._with_delays(rows), self._on_output)
-                    else:
-                        self._calc_rows(rows, self._on_output)
-                        self._done_ts = rows[-1][0]
-                except BaseException as exc:
-                    self._stop(f"feed_batch() raised {type(exc).__name__}")
-                    raise
+    def _calc_batch(self, rows: List[tuple]) -> None:
+        if self.HAS_DELAYS:
+            self._calc_rows(self._with_delays(rows), self._on_output)
+        else:
+            self._calc_rows(rows, self._on_output)
+            self._done_ts = rows[-1][0]
 
     def _with_delays(self, rows: List[tuple]) -> Iterator[tuple]:
         """*rows*, each preceded by the delay timestamps due before it,
@@ -412,94 +361,6 @@ class CodegenMonitorBase(MonitorBase):
             if ts != pending:
                 self._done_ts = ts
                 yield row
-
-    def _first_row(self, ts: int) -> None:
-        """Checks for a batch's first new timestamp; calculates
-        timestamp 0 first when *ts* skips it."""
-        if ts < 0:
-            raise MonitorError(f"negative timestamp {ts}")
-        done = self._done_ts
-        if ts <= done:
-            raise MonitorError(
-                f"event at t={ts} arrived after t={done} was calculated"
-            )
-        if done < 0 and ts > 0:
-            self._calc0((0,) + (None,) * len(self.INPUTS))
-            self._done_ts = 0
-
-    def _rows_of_one(self, events: Iterable[tuple], rows: List[tuple]) -> int:
-        """:meth:`feed_batch`'s grouping loop for a single input."""
-        only, attr = self.INPUTS[0], self.IN_ATTRS[0]
-        current = getattr(self, attr)
-        pending = self._pending_ts
-        append = rows.append
-        count = 0
-        try:
-            for ts, name, value in events:
-                if name != only:
-                    raise MonitorError(f"unknown input stream {name!r}")
-                if value is None:
-                    raise MonitorError(_NONE_PAYLOAD)
-                if ts != pending:
-                    if pending is None:
-                        self._first_row(ts)
-                    elif ts < pending:
-                        raise MonitorError(
-                            f"out-of-order event: t={ts} after t={pending}"
-                        )
-                    elif pending:
-                        append((pending, current))
-                    else:
-                        self._calc0((0, current))
-                        self._done_ts = 0
-                    pending = ts
-                current = value
-                count += 1
-        finally:
-            self._pending_ts = pending
-            setattr(self, attr, current)
-        return count
-
-    def _rows_of_many(self, events: Iterable[tuple], rows: List[tuple]) -> int:
-        """:meth:`feed_batch`'s grouping loop for several inputs."""
-        slot_of = self.ROW_SLOT
-        attrs = self.IN_ATTRS
-        blank = (None,) * len(attrs)
-        pending = self._pending_ts
-        row: List[Any] = [pending]
-        row += self._inputs_of(self)
-        append = rows.append
-        count = 0
-        try:
-            for ts, name, value in events:
-                slot = slot_of.get(name)
-                if slot is None:
-                    raise MonitorError(f"unknown input stream {name!r}")
-                if value is None:
-                    raise MonitorError(_NONE_PAYLOAD)
-                if ts != pending:
-                    if pending is None:
-                        self._first_row(ts)
-                    elif ts < pending:
-                        raise MonitorError(
-                            f"out-of-order event: t={ts} after t={pending}"
-                        )
-                    else:
-                        row[0] = pending
-                        if pending:
-                            append(tuple(row))
-                        else:
-                            self._calc0(row)
-                            self._done_ts = 0
-                        row[1:] = blank
-                    pending = ts
-                row[slot] = value
-                count += 1
-        finally:
-            self._pending_ts = pending
-            for attr, value in zip(attrs, row[1:]):
-                setattr(self, attr, value)
-        return count
 
 
 def assemble_class(

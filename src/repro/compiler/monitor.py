@@ -11,11 +11,19 @@ corresponds to "when receiving the end of the input t is set to ∞".
 
 Timestamp 0 is always processed (the ``unit`` event and all constants
 live there) before any later timestamp.
+
+The batch form of the triggering section, :meth:`MonitorBase.feed_batch`,
+is shared by both engines too: one loop groups a batch's events into
+*rows* — ``(ts, v_<input>...)`` in ``INPUTS`` order, ``None`` where a
+stream has no event — enforcing ``push``'s protocol checks, and hands
+the completed rows to the engine's ``_calc_batch`` (timestamp 0 to its
+``_calc0``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -24,6 +32,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -33,6 +42,8 @@ from ..structures.interface import MapBase, QueueBase, SetBase, VectorBase
 UNIT_VALUE: Tuple = ()
 
 OutputCallback = Callable[[str, int, Any], None]
+
+_NONE_PAYLOAD = "None is the no-event value; not a valid payload"
 
 
 class MonitorError(Exception):
@@ -122,6 +133,22 @@ def validate_columns(
     return converted
 
 
+def _tuple_getter(attrs: Sequence[str]) -> Callable[[Any], tuple]:
+    """``obj → tuple of its attributes attrs``, in C where ``attrgetter``
+    allows.
+
+    State is read and written attribute by attribute, never through
+    the instance ``__dict__``: on CPython 3.11+ touching an instance's
+    ``__dict__`` makes every later attribute access on it slower.
+    """
+    if len(attrs) > 1:
+        return attrgetter(*attrs)
+    if attrs:
+        get = attrgetter(attrs[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
 class MonitorBase:
     """Base class of all generated monitors."""
 
@@ -129,13 +156,19 @@ class MonitorBase:
     INPUTS: Tuple[str, ...] = ()
     OUTPUTS: Tuple[str, ...] = ()
     HAS_DELAYS: bool = False
-    #: input name → instance attribute; derived automatically from
-    #: ``INPUTS`` for every subclass (used by the batch hot path).
+    #: Derived from ``INPUTS`` for every subclass: input name →
+    #: ``_in_<name>`` attribute, those attributes in ``INPUTS`` order,
+    #: and input name → position in a row (slot 0 is the timestamp).
     INPUT_ATTRS: Mapping[str, str] = {}
+    IN_ATTRS: Tuple[str, ...] = ()
+    ROW_SLOT: Mapping[str, int] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls.INPUT_ATTRS = {name: "_in_" + name for name in cls.INPUTS}
+        cls.IN_ATTRS = tuple("_in_" + name for name in cls.INPUTS)
+        cls.ROW_SLOT = {name: k + 1 for k, name in enumerate(cls.INPUTS)}
+        cls._inputs_of = staticmethod(_tuple_getter(cls.IN_ATTRS))
 
     def __init__(self, on_output: Optional[OutputCallback] = None) -> None:
         from .runtime import RunReport  # runtime imports this module
@@ -170,6 +203,16 @@ class MonitorBase:
 
     def _run_calc(self, ts: int) -> None:  # pragma: no cover - overridden
         """The calculation section at *ts* over the pending inputs."""
+        raise NotImplementedError
+
+    def _calc0(self, row: Sequence[Any]) -> None:  # pragma: no cover
+        """The calculation section at timestamp 0 over one *row*."""
+        raise NotImplementedError
+
+    def _calc_batch(self, rows: List[tuple]) -> None:  # pragma: no cover
+        """The calculation section over the completed *rows* of one
+        :meth:`feed_batch` call, all after timestamp 0, and the delay
+        timestamps due before the pending one; sets ``_done_ts``."""
         raise NotImplementedError
 
     def _next_delay(self) -> Optional[int]:
@@ -227,6 +270,125 @@ class MonitorBase:
                 f"out-of-order event: t={ts} after t={self._pending_ts}"
             )
         setattr(self, attr, value)
+
+    def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
+        """Group a timestamp-sorted batch of ``(ts, name, value)`` events
+        into rows and run them through one ``_calc_batch`` call.
+
+        Same protocol checks and messages as :meth:`push`; events of the
+        last timestamp stay pending, and a second event of one stream at
+        one timestamp overwrites the first, as with ``push``.  On a
+        protocol error, the rows completed before the offending event
+        are still calculated (the partial progress a ``push`` loop
+        makes).  An exception raised *by the calculation* (a lift
+        without an error policy, the output callback) stops the monitor
+        instead: the batch's events are consumed by then, so no state
+        would match a ``push`` loop's; every later call raises
+        :class:`MonitorError`.  Raised while a protocol error is pending,
+        the calculation error wins (a ``push`` loop meets it first).
+        """
+        if self._finished:
+            raise self._closed("feed_batch")
+        rows: List[tuple] = []
+        try:
+            if len(self.INPUTS) == 1:
+                return self._rows_of_one(events, rows)
+            return self._rows_of_many(events, rows)
+        finally:
+            if rows or self.HAS_DELAYS:
+                try:
+                    self._calc_batch(rows)
+                except BaseException as exc:
+                    self._stop(f"feed_batch() raised {type(exc).__name__}")
+                    raise
+
+    def _first_row(self, ts: int) -> None:
+        """Checks for a batch's first new timestamp; calculates
+        timestamp 0 first when *ts* skips it."""
+        if ts < 0:
+            raise MonitorError(f"negative timestamp {ts}")
+        done = self._done_ts
+        if ts <= done:
+            raise MonitorError(
+                f"event at t={ts} arrived after t={done} was calculated"
+            )
+        if done < 0 and ts > 0:
+            self._calc0((0,) + (None,) * len(self.INPUTS))
+            self._done_ts = 0
+
+    def _rows_of_one(self, events: Iterable[tuple], rows: List[tuple]) -> int:
+        """:meth:`feed_batch`'s grouping loop for a single input."""
+        only, attr = self.INPUTS[0], self.IN_ATTRS[0]
+        current = getattr(self, attr)
+        pending = self._pending_ts
+        append = rows.append
+        count = 0
+        try:
+            for ts, name, value in events:
+                if name != only:
+                    raise MonitorError(f"unknown input stream {name!r}")
+                if value is None:
+                    raise MonitorError(_NONE_PAYLOAD)
+                if ts != pending:
+                    if pending is None:
+                        self._first_row(ts)
+                    elif ts < pending:
+                        raise MonitorError(
+                            f"out-of-order event: t={ts} after t={pending}"
+                        )
+                    elif pending:
+                        append((pending, current))
+                    else:
+                        self._calc0((0, current))
+                        self._done_ts = 0
+                    pending = ts
+                current = value
+                count += 1
+        finally:
+            self._pending_ts = pending
+            setattr(self, attr, current)
+        return count
+
+    def _rows_of_many(self, events: Iterable[tuple], rows: List[tuple]) -> int:
+        """:meth:`feed_batch`'s grouping loop for several inputs."""
+        slot_of = self.ROW_SLOT
+        attrs = self.IN_ATTRS
+        blank = (None,) * len(attrs)
+        pending = self._pending_ts
+        row: List[Any] = [pending]
+        row += self._inputs_of(self)
+        append = rows.append
+        count = 0
+        try:
+            for ts, name, value in events:
+                slot = slot_of.get(name)
+                if slot is None:
+                    raise MonitorError(f"unknown input stream {name!r}")
+                if value is None:
+                    raise MonitorError(_NONE_PAYLOAD)
+                if ts != pending:
+                    if pending is None:
+                        self._first_row(ts)
+                    elif ts < pending:
+                        raise MonitorError(
+                            f"out-of-order event: t={ts} after t={pending}"
+                        )
+                    else:
+                        row[0] = pending
+                        if pending:
+                            append(tuple(row))
+                        else:
+                            self._calc0(row)
+                            self._done_ts = 0
+                        row[1:] = blank
+                    pending = ts
+                row[slot] = value
+                count += 1
+        finally:
+            self._pending_ts = pending
+            for attr, value in zip(attrs, row[1:]):
+                setattr(self, attr, value)
+        return count
 
     def feed_columns(
         self,

@@ -27,12 +27,19 @@ those — sends the whole spec to the codegen engine, under
 ``engine="vector"`` as under ``engine="auto"`` (see
 :attr:`VectorClassification.auto_engine`).  So does an error policy.
 
+Rows reach the columns through the triggering loop both engines share,
+:meth:`MonitorBase.feed_batch <repro.compiler.monitor.MonitorBase.feed_batch>`:
+it groups a batch into one row per timestamp under ``push``'s protocol
+checks, and :class:`VectorMonitorBase` transposes the completed rows
+into value columns and presence masks.  ``feed_columns`` hands dense
+columns over without rows.
+
 :class:`VectorMonitorBase` also carries a small scalar half, a flat op
 list over a slot array (:class:`ScalarProgram`), for what is not a
-column: per-event ``push``, timestamp 0 and the pending timestamp each
-batch leaves behind.  Both halves share one cross-batch state: the
-``last`` cells (numbered once, by :func:`last_cells`) and the pending
-``_in_<name>`` input attributes.
+column: per-event ``push``, timestamp 0, the pending timestamp
+``finish`` flushes and the one a ``feed_columns`` call inherits.  Both
+halves share one cross-batch state: the ``last`` cells (numbered once,
+by :func:`last_cells`) and the pending ``_in_<name>`` input attributes.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -665,11 +671,13 @@ def build_vector_program(
 class VectorMonitorBase(MonitorBase):
     """Columnar monitor with a scalar half.
 
-    ``feed_batch``/``feed_columns`` run every stream as whole columns
-    over the batch's timestamp slice; ``_run_calc`` runs one timestamp
-    through the :class:`ScalarProgram` (``push``, timestamp 0, the
-    pending timestamp).  The only cross-batch state is the ``last``
-    cells and the pending input attributes.
+    ``feed_batch`` (the shared loop of :class:`MonitorBase`, through
+    ``_calc_batch``) and ``feed_columns`` run every stream as whole
+    columns over the batch's completed timestamps; ``_run_calc`` runs
+    one timestamp through the :class:`ScalarProgram` (``push``,
+    timestamp 0, the pending timestamp at ``finish`` or before a
+    ``feed_columns`` block).  The only cross-batch state is the
+    ``last`` cells and the pending input attributes.
     """
 
     VPROG: VectorProgram = None  # type: ignore[assignment]
@@ -727,237 +735,44 @@ class VectorMonitorBase(MonitorBase):
                 last[cell] = value
         self._done_ts = ts
 
-    # -- batched ingestion -------------------------------------------------
+    def _calc0(self, row: Sequence[Any]) -> None:
+        """Timestamp 0 through the scalar half, *row* as its inputs."""
+        for attr, value in zip(self.IN_ATTRS, row[1:]):
+            setattr(self, attr, value)
+        self._run_calc(0)
 
-    def feed_batch(self, events: Iterable[Tuple[int, str, Any]]) -> int:
-        """Feed a timestamp-sorted batch of ``(ts, name, value)`` events.
-
-        Equivalent to a ``push`` per event: events of the last
-        timestamp stay pending, and on a protocol error the offending
-        event is reported and not consumed while the valid prefix
-        before it is — the same partial progress a ``push`` loop makes.
-        An exception raised *by the calculation* stops the monitor, as
-        under codegen: every later call raises :class:`MonitorError`.
-        Returns the number of events consumed.
-        """
-        if self._finished:
-            raise self._closed("feed_batch")
-        if not isinstance(events, list):
-            events = list(events)
-        if not events:
-            return 0
-        packed = self._pack_batch(events)
-        if packed is None:
-            error_index, error = self._validate_batch(events)
-            if error is not None:
-                if error_index:
-                    self.feed_batch(events[:error_index])
-                raise error
-        try:
-            if packed is not None:
-                return self._feed_batch_fast(events, *packed)
-            return self._feed_batch_rows(events)
-        except BaseException as exc:
-            self._stop(f"feed_batch() raised {type(exc).__name__}")
-            raise
-
-    def _feed_batch_rows(self, events: List[Tuple[int, str, Any]]) -> int:
-        """The row path over a validated batch (no fast-path pack)."""
-        input_attrs = type(self).INPUT_ATTRS
-        tail_ts = events[-1][0]
-        prepend: List[Tuple[int, str, Any]] = []
-        pending = self._pending_ts
-        if pending is not None:
-            if events[0][0] == pending:
-                for name in self.INPUTS:
-                    attr = input_attrs[name]
-                    value = getattr(self, attr)
-                    if value is not None:
-                        prepend.append((pending, name, value))
-                        setattr(self, attr, None)
-            else:
-                self._run_calc(pending)
-            self._pending_ts = None
-        all_events = prepend + events if prepend else events
-
-        split = len(all_events)
-        while split > 0 and all_events[split - 1][0] == tail_ts:
-            split -= 1
-        slice_events = all_events[:split]
-        tail_events = all_events[split:]
-
-        if not slice_events:
-            self._catch_up(tail_ts)
-        else:
-            if self._done_ts < 0 and slice_events[0][0] > 0:
-                self._run_calc(0)
-            from ..obs.trace import TRACER
-
-            if TRACER.enabled:
-                with TRACER.span("run.vector_batch"):
-                    self._vector_slice(slice_events)
-            else:
-                self._vector_slice(slice_events)
-        for _ts, name, value in tail_events:
-            setattr(self, input_attrs[name], value)
-        self._pending_ts = tail_ts
-        return len(events)
-
-    def _pack_batch(
-        self, events: List[Tuple[int, str, Any]]
-    ) -> Optional[Tuple[Any, tuple, tuple]]:
-        """Columnar transpose + wholesale validation for the hot path.
-
-        Returns ``(ts_arr, name_tuple, value_tuple)`` only when the
-        batch provably passes every per-event protocol check, so the
-        caller can skip the row loop entirely.  Any irregularity —
-        malformed rows, unknown streams, None payloads, reordered or
-        pending-merging timestamps — returns None and
-        the scalar path takes over to report the exact offending index
-        with its exact message.
-        """
-        if len(events) < 64:
-            return None
+    def _calc_batch(self, rows: List[tuple]) -> None:
+        """:meth:`feed_batch`'s rows as one columnar pass: one transpose
+        into value columns and presence masks (a later row of a stream
+        overwrote an earlier one already, as ``push`` does)."""
         np = self.NP
-        try:
-            ts_tuple, name_tuple, value_tuple = zip(*events)
-            ts_arr = np.asarray(ts_tuple, dtype=np.int64)
-        except Exception:
-            return None
-        if ts_arr.ndim != 1 or ts_arr.shape[0] != len(events):
-            return None
-        try:
-            if None in value_tuple:
-                return None
-        except Exception:
-            # Exotic payloads with ambiguous __eq__ (e.g. arrays):
-            # let the scalar validator look at them one by one.
-            return None
-        if not set(name_tuple) <= type(self).INPUT_ATTRS.keys():
-            return None
-        first = int(ts_arr[0])
-        if first < 0 or not bool((ts_arr[1:] >= ts_arr[:-1]).all()):
-            return None
-        pending = self._pending_ts
-        if pending is not None:
-            # first == pending is the (legal) merge corner; the row
-            # path prepends the stored attrs, so hand it over.
-            if first <= pending:
-                return None
-        elif first <= self._done_ts:
-            return None
-        return ts_arr, name_tuple, value_tuple
-
-    def _feed_batch_fast(
-        self,
-        events: List[Tuple[int, str, Any]],
-        ts_arr: Any,
-        name_tuple: tuple,
-        value_tuple: tuple,
-    ) -> int:
-        np = self.NP
-        pending = self._pending_ts
-        if pending is not None:
-            # _pack_batch guarantees the batch starts past it.
-            self._run_calc(pending)
-            self._pending_ts = None
-        tail_ts = int(ts_arr[-1])
-        split = int(np.searchsorted(ts_arr, tail_ts, side="left"))
-        input_attrs = type(self).INPUT_ATTRS
-        if split == 0:
-            self._catch_up(tail_ts)
-        else:
-            if self._done_ts < 0 and int(ts_arr[0]) > 0:
-                self._run_calc(0)
-            ts_slice, cols, masks = self._scatter_columns(
-                np, ts_arr[:split], name_tuple[:split], value_tuple[:split]
-            )
-            from ..obs.trace import TRACER
-
-            if TRACER.enabled:
-                with TRACER.span("run.vector_batch"):
-                    self._vector_exec(ts_slice, cols, masks)
-            else:
-                self._vector_exec(ts_slice, cols, masks)
-        for _ts, name, value in events[split:]:
-            setattr(self, input_attrs[name], value)
-        self._pending_ts = tail_ts
-        return len(events)
-
-    def _scatter_columns(
-        self, np: Any, ts_arr: Any, name_tuple: tuple, value_tuple: tuple
-    ) -> Tuple[Any, List[Any], List[Any]]:
-        """Scatter validated rows into per-stream columns, loop-free.
-
-        Duplicate (timestamp, stream) rows keep numpy's fancy-index
-        last-write-wins, matching the row loop's overwrite behavior.
-        """
         prog = self.VPROG
-        n = ts_arr.shape[0]
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(ts_arr[1:], ts_arr[:-1], out=keep[1:])
-        positions = np.cumsum(keep) - 1
-        ts_slice = ts_arr[keep]
-        length = int(ts_slice.shape[0])
+        ts_col, *inputs = zip(*rows)
+        length = len(ts_col)
         cols: List[Any] = [None] * prog.n_vslots
         masks: List[Any] = [None] * prog.n_vslots
-        names_arr = np.empty(n, dtype=object)
-        names_arr[:] = name_tuple
-        value_arr = None
-        for name, vslot, dtype_name in prog.col_inputs:
-            mask = np.zeros(length, dtype=bool)
-            sel = names_arr == name
-            pos = positions[sel]
-            mask[pos] = True
-            masks[vslot] = mask
+        for (_name, vslot, dtype_name), values in zip(prog.col_inputs, inputs):
+            if None in values:
+                masks[vslot] = np.array(
+                    [value is not None for value in values], dtype=bool
+                )
+                values = [0 if value is None else value for value in values]
+            else:
+                masks[vslot] = np.ones(length, dtype=bool)
             if dtype_name != "unit":
-                if value_arr is None:
-                    value_arr = np.empty(n, dtype=object)
-                    value_arr[:] = value_tuple
-                column = np.zeros(
-                    length, dtype=kernels.resolve_dtype(np, dtype_name)
+                cols[vslot] = np.array(
+                    values, dtype=kernels.resolve_dtype(np, dtype_name)
                 )
-                column[pos] = value_arr[sel]
-                cols[vslot] = column
-        return ts_slice, cols, masks
+        ts_arr = np.array(ts_col, dtype=np.int64)
+        from ..obs.trace import TRACER
 
-    def _validate_batch(
-        self, events: List[Tuple[int, str, Any]]
-    ) -> Tuple[int, Optional[MonitorError]]:
-        """Mirror the scalar ``feed_batch`` checks without executing.
+        if TRACER.enabled:
+            with TRACER.span("run.vector_batch"):
+                self._vector_exec(ts_arr, cols, masks)
+        else:
+            self._vector_exec(ts_arr, cols, masks)
 
-        Returns ``(index_of_offending_event, error)`` — the prefix
-        before the index is exactly what a push loop would have
-        consumed before raising.
-        """
-        input_attrs = type(self).INPUT_ATTRS
-        pending = self._pending_ts
-        done = self._done_ts
-        for index, (ts, name, value) in enumerate(events):
-            if name not in input_attrs:
-                return index, MonitorError(f"unknown input stream {name!r}")
-            if value is None:
-                return index, MonitorError(
-                    "None is the no-event value; not a valid payload"
-                )
-            if ts != pending:
-                if pending is not None:
-                    if ts < pending:
-                        return index, MonitorError(
-                            f"out-of-order event: t={ts} after t={pending}"
-                        )
-                    done = pending
-                    pending = None
-                if ts < 0:
-                    return index, MonitorError(f"negative timestamp {ts}")
-                if ts <= done:
-                    return index, MonitorError(
-                        f"event at t={ts} arrived after t={done} was"
-                        " calculated"
-                    )
-                pending = ts
-        return -1, None
+    # -- columnar ingestion ------------------------------------------------
 
     def feed_columns(
         self,
@@ -1096,43 +911,6 @@ class VectorMonitorBase(MonitorBase):
             setattr(self, input_attrs[name], value)
 
     # -- columnar execution ------------------------------------------------
-
-    def _vector_slice(self, events: List[Tuple[int, str, Any]]) -> None:
-        """Run one slice of row events through the columnar pass."""
-        np = self.NP
-        prog = self.VPROG
-        ts_list: List[int] = []
-        previous = None
-        for event in events:
-            ts = event[0]
-            if ts != previous:
-                ts_list.append(ts)
-                previous = ts
-        ts_arr = np.array(ts_list, dtype=np.int64)
-        length = len(ts_list)
-        n_vslots = prog.n_vslots
-        cols: List[Any] = [None] * n_vslots
-        masks: List[Any] = [None] * n_vslots
-        col_slot_by_name: Dict[str, int] = {}
-        for name, vslot, dtype_name in prog.col_inputs:
-            masks[vslot] = np.zeros(length, dtype=bool)
-            if dtype_name != "unit":
-                cols[vslot] = np.zeros(
-                    length, dtype=kernels.resolve_dtype(np, dtype_name)
-                )
-            col_slot_by_name[name] = vslot
-        position = -1
-        previous = None
-        for ts, name, value in events:
-            if ts != previous:
-                position += 1
-                previous = ts
-            vslot = col_slot_by_name[name]
-            masks[vslot][position] = True
-            column = cols[vslot]
-            if column is not None:
-                column[position] = value
-        self._vector_exec(ts_arr, cols, masks)
 
     def _vector_exec(
         self, ts_arr: Any, cols: List[Any], masks: List[Any]

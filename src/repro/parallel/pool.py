@@ -119,10 +119,13 @@ class PoolResult:
     backend: str = "sequential"
     #: Submission indexes of quarantined (poison) traces.
     quarantined: List[int] = field(default_factory=list)
-    #: How trace payloads reached the workers: ``"pipe"`` on the
-    #: process pool, ``"inline"`` when no process boundary was crossed
-    #: (sequential fallback).
-    transport: str = "inline"
+
+    @property
+    def transport(self) -> str:
+        """``"pipe"`` when ``backend`` is ``"process"``, else
+        ``"inline"``: derived from ``backend``, which new code should
+        read; kept for readers of the former field."""
+        return "pipe" if self.backend == "process" else "inline"
 
     def outputs(self) -> List[List[OutputEvent]]:
         """Per-trace output lists, in submission order."""
@@ -570,7 +573,6 @@ class MonitorPool:
             failures=failures,
             backend=backend,
             quarantined=sorted(stats.quarantined),
-            transport="pipe" if backend == "process" else "inline",
         )
 
     def _fail_fast(self) -> bool:

@@ -43,19 +43,30 @@ ENGINES = ["codegen"] + (
 )
 
 
-def random_events(names, length, domain, seed, start=1):
+def random_events(names, length, domain, seed, start=1, duplicates=False):
+    """Sorted random events; at most one per stream and timestamp
+    unless *duplicates* (then a later event of a stream at one
+    timestamp overwrites the earlier, as with ``push``)."""
     rng = random.Random(seed)
     events = []
     seen = set()
     t = start
     for _ in range(length):
         name = rng.choice(names)
-        if (t, name) not in seen:  # one event per stream per timestamp
+        if duplicates or (t, name) not in seen:
             seen.add((t, name))
             events.append((t, name, rng.randrange(domain)))
         if rng.random() < 0.7:
             t += rng.randint(1, 3)
     return events
+
+
+def last_write_wins(events):
+    """*events* with only the last event of each stream per timestamp."""
+    latest = {}
+    for ts, name, value in events:
+        latest[ts, name] = value
+    return [(ts, name, value) for (ts, name), value in latest.items()]
 
 
 def outputs_via_push(compiled, events, end_time=None):
@@ -147,22 +158,29 @@ row_specs = pytest.mark.parametrize(
 
 
 class TestBatchEqualsPush:
+    @pytest.mark.parametrize(
+        "duplicates", [False, True], ids=["distinct", "duplicates"]
+    )
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "name,factory,inputs,end_time", CASES, ids=[c[0] for c in CASES]
     )
     def test_identical_to_push_and_reference(
-        self, engine, name, factory, inputs, end_time
+        self, engine, name, factory, inputs, end_time, duplicates
     ):
-        events = random_events(inputs, 120, 8, seed=hash(name) % 1000)
+        events = random_events(
+            inputs, 120, 8, seed=hash(name) % 1000, duplicates=duplicates
+        )
+        # batches below and above 64 events
+        assert len(events) > 64
         compiled = build_compiled_spec(factory(), engine=engine)
         via_push = outputs_via_push(compiled, events, end_time)
-        ref = reference(factory(), events, end_time)
+        ref = reference(factory(), last_write_wins(events), end_time)
         assert {
             n: [(t, freeze(v)) for t, v in evs]
             for n, evs in via_push.items()
         } == ref
-        for batch_size in (1, 7, len(events) or 1):
+        for batch_size in (1, 7, len(events)):
             compiled_b = build_compiled_spec(factory(), engine=engine)
             via_batch = outputs_via_batch(
                 compiled_b, events, batch_size, end_time
@@ -186,16 +204,18 @@ class TestBatchEqualsPush:
             build_compiled_spec(spec(), engine=engine), events
         )
 
-    def test_batch_loop_is_shared_not_generated(self):
-        from repro.compiler.codegen import CodegenMonitorBase
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batch_loop_is_shared_not_generated(self, engine):
+        from repro.compiler.monitor import MonitorBase
 
-        for factory in (seen_set, lambda: watchdog(5)):
-            compiled = build_compiled_spec(factory())
+        factories = [seen_set, lambda: watchdog(5)]
+        if engine == "vector":
+            factories = [factory for _, factory, _, _ in SCALAR_CASES]
+        for factory in factories:
+            compiled = build_compiled_spec(factory(), engine=engine)
+            assert compiled.engine == engine
             assert "def feed_batch" not in compiled.source
-            assert (
-                compiled.monitor_class.feed_batch
-                is CodegenMonitorBase.feed_batch
-            )
+            assert compiled.monitor_class.feed_batch is MonitorBase.feed_batch
 
     @row_specs
     @pytest.mark.parametrize("engine", ENGINES)

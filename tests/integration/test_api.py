@@ -189,6 +189,14 @@ class TestRemovedSurface:
             text_fingerprint("in i: Int\nout i\n", prune_dead=True)
 
     @pytest.mark.parametrize(
+        "value", ["none", "mutability", "rewrite", "full", 1, None]
+    )
+    def test_optimize_accepts_only_bool(self, value):
+        with pytest.raises(TypeError, match="optimize must be a bool"):
+            api.CompileOptions(optimize=value)
+        assert api.CompileOptions(optimize=False).optimize is False
+
+    @pytest.mark.parametrize(
         "kwargs",
         [{"partition": "auto"}, {"pool_backend": "thread"}],
         ids=["partition", "pool_backend"],
@@ -230,10 +238,25 @@ class TestRemovedSurface:
         assert exc.value.code == 2
         assert "invalid choice: 'emit-scala'" in capsys.readouterr().err
 
-    def test_generic_batch_loop_removed(self):
-        from repro.compiler.monitor import MonitorBase
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "feed_batch",
+            "_feed_batch_rows",
+            "_pack_batch",
+            "_feed_batch_fast",
+            "_scatter_columns",
+            "_validate_batch",
+            "_vector_slice",
+        ],
+    )
+    def test_engine_batch_loops_removed(self, name):
+        # One row loop, MonitorBase.feed_batch, serves both engines.
+        from repro.compiler.codegen import CodegenMonitorBase
+        from repro.compiler.vector import VectorMonitorBase
 
-        assert not hasattr(MonitorBase, "feed_batch")
+        assert name not in vars(VectorMonitorBase)
+        assert name not in vars(CodegenMonitorBase)
 
     def test_pool_backend_parameter_removed(self):
         from repro.parallel.pool import MonitorPool, run_many

@@ -373,8 +373,8 @@ class TestPayloadChoice:
     def test_pool_matches_serial(self, spec, traces):
         serial = MonitorPool(spec, jobs=1).run_many(traces)
         result = MonitorPool(spec, jobs=2).run_many(traces)
-        assert serial.transport == "inline"
-        assert result.transport == "pipe"
+        assert serial.backend == "sequential"
+        assert result.backend == "process"
         assert result.failures == 0
         assert result.outputs() == serial.outputs()
         assert result.report.events_in == serial.report.events_in
